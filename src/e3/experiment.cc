@@ -162,19 +162,6 @@ runExperiment(const std::string &envName,
     return platform.run();
 }
 
-std::vector<RunResult>
-runSuite(BackendKind kind, const ExperimentOptions &options)
-{
-    std::vector<RunResult> results;
-    for (const auto &spec : envSuite()) {
-        ExperimentOptions opt = options;
-        opt.maxGenerations = std::min(
-            options.maxGenerations, suiteGenerationBudget(spec.name));
-        results.push_back(runExperiment(spec.name, kind, opt));
-    }
-    return results;
-}
-
 namespace {
 
 /**

@@ -144,10 +144,6 @@ Result<RunResult> runExperiment(const std::string &envName,
                                 const std::string &backendCliName,
                                 const ExperimentOptions &options);
 
-/** Run the whole Env1..Env6 suite on one backend. */
-std::vector<RunResult> runSuite(BackendKind kind,
-                                const ExperimentOptions &options);
-
 /** Generation-budget presets per env, sized so runs finish quickly. */
 int suiteGenerationBudget(const std::string &envName);
 

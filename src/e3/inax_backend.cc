@@ -1,6 +1,7 @@
 #include "e3/inax_backend.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "verify/schedule_check.hh"
@@ -50,10 +51,15 @@ InaxBackend::evaluateSeconds(const GenerationTrace &trace)
     trace.validate();
     e3_assert(!trace.episodes.empty(), "trace without episodes");
 
+    // Cost every individual from the structure stats decoded with it;
+    // the defs are not re-analysed here.
     std::vector<IndividualCost> costs;
-    costs.reserve(trace.defs.size());
-    for (const auto &def : trace.defs)
-        costs.push_back(puIndividualCost(def, cfg_));
+    costs.reserve(trace.individuals.size());
+    for (size_t i = 0; i < trace.individuals.size(); ++i) {
+        costs.push_back(puIndividualCost(
+            trace.individuals[i], trace.defs[i].inputIds.size(),
+            trace.defs[i].outputIds.size(), cfg_));
+    }
 
     InaxReport generation;
     for (size_t start = 0; start < costs.size(); start += cfg_.numPUs) {
@@ -64,28 +70,12 @@ InaxBackend::evaluateSeconds(const GenerationTrace &trace)
             costs.begin() + static_cast<long>(end));
         debugVerifyBatch(batch, cfg_, trace);
         AcceleratorSession session(cfg_);
-        session.loadBatch(batch);
+        session.loadBatch(std::move(batch));
 
         // Weights stay resident in the PU buffers, so every episode of
         // this generation reuses the one set-up phase.
-        for (const auto &episode : trace.episodes) {
-            std::vector<int> remaining(
-                episode.begin() + static_cast<long>(start),
-                episode.begin() + static_cast<long>(end));
-            bool any = true;
-            while (any) {
-                any = false;
-                std::vector<bool> live(remaining.size());
-                for (size_t i = 0; i < remaining.size(); ++i) {
-                    live[i] = remaining[i] > 0;
-                    any = any || live[i];
-                    if (remaining[i] > 0)
-                        --remaining[i];
-                }
-                if (any)
-                    session.step(live);
-            }
-        }
+        for (const auto &episode : trace.episodes)
+            session.runEpisode(episode.data() + start);
         generation.merge(session.report());
     }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * E3-INAX: evaluate offloaded to the INAX accelerator model. The
- * backend compiles every individual to its PU cost profile, replays the
- * generation's episode liveness through the cycle-accurate accelerator
- * session (set-up once per PU batch, weights resident across env
- * steps), and reports time at the configured fabric clock.
+ * backend costs every individual on a PU from its decoded NetStats,
+ * replays the generation's episode liveness through the cycle-accurate
+ * accelerator session (set-up once per PU batch, weights resident
+ * across env steps), and reports time at the configured fabric clock.
  */
 
 #ifndef E3_E3_INAX_BACKEND_HH

@@ -157,32 +157,38 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
         }
     }
 
-    const BatchEngine engine = backend_->batchedFunctionalInference()
-                                   ? BatchEngine::Auto
-                                   : BatchEngine::PerGenome;
-    Result<std::unique_ptr<BatchNetwork>> compiled =
-        compilePopulation(defs, compileOpts, engine);
-    // Evolved genomes satisfy the structural invariants by
-    // construction, so a compile failure here is an evolution-loop bug.
-    e3_assert(compiled.ok(),
-              "population compile failed: ", compiled.message());
-    const std::unique_ptr<BatchNetwork> batch =
-        std::move(compiled).value();
+    std::unique_ptr<BatchNetwork> batch;
+    {
+        obs::TraceSpan span("compile");
+        const BatchEngine engine = backend_->batchedFunctionalInference()
+                                       ? BatchEngine::Auto
+                                       : BatchEngine::PerGenome;
+        Result<std::unique_ptr<BatchNetwork>> compiled =
+            compilePopulation(defs, compileOpts, engine);
+        // Evolved genomes satisfy the structural invariants by
+        // construction, so a compile failure here is an evolution-loop
+        // bug.
+        e3_assert(compiled.ok(),
+                  "population compile failed: ", compiled.message());
+        batch = std::move(compiled).value();
 
-    if (cfg_.verifyGenomes) {
-        // The --verify gate, batch side: when the SoA engine compiled
-        // a flat plan, certify it (E3V301–E3V306) against the very
-        // defs it was compiled from before any lane activates. The
-        // per-genome adapter has no plan and skips this.
-        if (const BatchPlan *batchPlan = batch->plan()) {
-            verify::Report report =
-                verify::verifyBatchPlan(*batchPlan, defs);
-            if (!report.empty()) {
-                report.setArtifact("gen " + std::to_string(generation) +
-                                   " batch plan");
-                warn("verify: batch plan at generation ", generation,
-                     ": ", firstErrorLine(report));
-                verifyReport_.merge(std::move(report));
+        if (cfg_.verifyGenomes) {
+            // The --verify gate, batch side: when the SoA engine
+            // compiled a flat plan, certify it (E3V301–E3V306) against
+            // the very defs it was compiled from before any lane
+            // activates. The per-genome adapter has no plan and skips
+            // this.
+            if (const BatchPlan *batchPlan = batch->plan()) {
+                verify::Report report =
+                    verify::verifyBatchPlan(*batchPlan, defs);
+                if (!report.empty()) {
+                    report.setArtifact("gen " +
+                                       std::to_string(generation) +
+                                       " batch plan");
+                    warn("verify: batch plan at generation ", generation,
+                         ": ", firstErrorLine(report));
+                    verifyReport_.merge(std::move(report));
+                }
             }
         }
     }

@@ -175,9 +175,6 @@ class E3Platform
     /** Tweak NEAT hyperparameters before run(). */
     NeatConfig &neatConfig() { return neatCfg_; }
 
-    /** Host-side (env/evolve/createnet) timing knobs. */
-    HostTimingModel &hostTiming() { return host_; }
-
     /** Execute the learning loop to completion. */
     RunResult run();
 

@@ -1,8 +1,6 @@
 #include "inax/dataflow.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "inax/schedule.hh"
 #include "nn/layering.hh"
@@ -12,18 +10,16 @@ namespace e3 {
 namespace {
 
 /** Egress fan-out per producer (inputs and required nodes). */
-std::map<int, size_t>
-egressCounts(const NetworkDef &def)
+std::vector<size_t>
+egressCounts(const NetAnalysis &a)
 {
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(),
-                               def.inputIds.end());
-    std::map<int, size_t> egress;
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
+    std::vector<size_t> egress(a.ids.size(), 0);
+    for (uint32_t d = 0; d < a.ids.size(); ++d) {
+        if (!a.required[d])
             continue;
-        if (inputs.count(c.from) || required.count(c.from))
-            ++egress[c.from];
+        for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
+             ++i)
+            ++egress[a.connSrc[a.ingress[i]]];
     }
     return egress;
 }
@@ -37,47 +33,42 @@ egressCounts(const NetworkDef &def)
  * order.
  */
 uint64_t
-peakLivePartialSums(const NetworkDef &def)
+peakLivePartialSums(const NetworkDef &def, const NetAnalysis &a)
 {
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(),
-                               def.inputIds.end());
-    const auto layers = feedForwardLayers(def);
-
     // Producer processing order: inputs, then layer by layer.
-    std::vector<int> order(def.inputIds.begin(), def.inputIds.end());
-    for (const auto &layer : layers)
-        order.insert(order.end(), layer.begin(), layer.end());
-
-    std::map<int, size_t> position;
-    for (size_t i = 0; i < order.size(); ++i)
-        position[order[i]] = i;
+    std::vector<size_t> position(a.ids.size(), 0);
+    size_t steps = 0;
+    for (int id : def.inputIds)
+        position[a.indexOf(id)] = steps++;
+    for (uint32_t d : a.order)
+        position[d] = steps++;
 
     // A destination's partial sum is live over [first producer pos,
-    // last producer pos].
-    std::map<int, std::pair<size_t, size_t>> window;
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
+    // last producer pos]; delta marks where each window opens and
+    // closes.
+    std::vector<int64_t> delta(steps + 1, 0);
+    for (uint32_t v = 0; v < a.ids.size(); ++v) {
+        if (!a.required[v] || a.inDegree(v) == 0)
             continue;
-        if (!inputs.count(c.from) && !required.count(c.from))
-            continue;
-        const size_t pos = position.at(c.from);
-        auto [it, inserted] =
-            window.try_emplace(c.to, std::make_pair(pos, pos));
-        if (!inserted) {
-            it->second.first = std::min(it->second.first, pos);
-            it->second.second = std::max(it->second.second, pos);
+        size_t first = steps;
+        size_t last = 0;
+        for (uint32_t i = a.ingressBegin[v]; i < a.ingressBegin[v + 1];
+             ++i) {
+            const size_t pos = position[a.connSrc[a.ingress[i]]];
+            first = std::min(first, pos);
+            last = std::max(last, pos);
         }
+        ++delta[first];
+        --delta[last + 1];
     }
 
-    uint64_t peak = 0;
-    for (size_t t = 0; t < order.size(); ++t) {
-        uint64_t live = 0;
-        for (const auto &[dst, w] : window)
-            live += (w.first <= t && t <= w.second) ? 1 : 0;
+    int64_t live = 0;
+    int64_t peak = 0;
+    for (size_t t = 0; t < steps; ++t) {
+        live += delta[t];
         peak = std::max(peak, live);
     }
-    return peak;
+    return static_cast<uint64_t>(peak);
 }
 
 } // namespace
@@ -104,8 +95,8 @@ DataflowRequirements
 analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
-    const auto net = FeedForwardNetwork::create(def);
-    const auto egress = egressCounts(def);
+    const NetAnalysis analysis = analyzeNetwork(def);
+    const auto net = FeedForwardNetwork::create(def, analysis);
 
     DataflowRequirements req;
     req.name = "input-stationary";
@@ -114,7 +105,7 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
     // held, so a partial-sum slot must exist for every node the PU can
     // host — not just the ones this network uses.
     req.accumulators = cfg.maxSupportedNodes;
-    req.peakLiveAccumulators = peakLivePartialSums(def);
+    req.peakLiveAccumulators = peakLivePartialSums(def, analysis);
     // Buffer: partial sums for the full capacity plus the held values.
     req.bufferWords = cfg.maxSupportedNodes + net.valueSlots();
 
@@ -122,7 +113,7 @@ analyzeInputStationary(const NetworkDef &def, const InaxConfig &cfg)
     // numPEs partial-sum updates per cycle; activation pipeline per
     // node at the end of its window.
     uint64_t cycles = 0;
-    for (const auto &[producer, count] : egress)
+    for (size_t count : egressCounts(analysis))
         cycles += (count + cfg.numPEs - 1) / cfg.numPEs;
     cycles += net.nodeCount() * cfg.pePipelineLatency / cfg.numPEs;
     cycles += net.layers().size() * cfg.layerSyncCycles;
@@ -134,7 +125,8 @@ DataflowRequirements
 analyzeWeightStationary(const NetworkDef &def, const InaxConfig &cfg)
 {
     assertOk(cfg.validate());
-    const auto net = FeedForwardNetwork::create(def);
+    const NetAnalysis analysis = analyzeNetwork(def);
+    const auto net = FeedForwardNetwork::create(def, analysis);
 
     DataflowRequirements req;
     req.name = "weight-stationary";
@@ -143,7 +135,7 @@ analyzeWeightStationary(const NetworkDef &def, const InaxConfig &cfg)
     // exactly once per inference, so the array reloads weights
     // ceil(conns / numPEs) times.
     req.accumulators = cfg.maxSupportedNodes;
-    req.peakLiveAccumulators = peakLivePartialSums(def);
+    req.peakLiveAccumulators = peakLivePartialSums(def, analysis);
     req.bufferWords = cfg.maxSupportedNodes + net.valueSlots();
 
     const uint64_t conns = net.connectionCount();

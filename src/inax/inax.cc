@@ -168,6 +168,22 @@ AcceleratorSession::step(const std::vector<bool> &live)
                       window * cfg_.numPUs * cfg_.numPEs);
 }
 
+void
+AcceleratorSession::runEpisode(const int *lengths)
+{
+    live_.resize(batch_.size());
+    for (int t = 0;; ++t) {
+        bool any = false;
+        for (size_t i = 0; i < batch_.size(); ++i) {
+            live_[i] = lengths[i] > t;
+            any = any || live_[i];
+        }
+        if (!any)
+            return;
+        step(live_);
+    }
+}
+
 InaxReport
 runAccelerator(const std::vector<IndividualCost> &individuals,
                const std::vector<int> &episodeLengths,
@@ -198,27 +214,15 @@ runAccelerator(const std::vector<IndividualCost> &individuals,
             std::min(start + cfg.numPUs, individuals.size());
 
         std::vector<IndividualCost> batch;
-        std::vector<int> remaining;
+        std::vector<int> lengths;
         for (size_t i = start; i < end; ++i) {
             batch.push_back(individuals[order[i]]);
-            remaining.push_back(episodeLengths[order[i]]);
+            lengths.push_back(episodeLengths[order[i]]);
         }
 
         AcceleratorSession session(cfg);
         session.loadBatch(std::move(batch));
-        bool any = true;
-        while (any) {
-            any = false;
-            std::vector<bool> live(remaining.size());
-            for (size_t i = 0; i < remaining.size(); ++i) {
-                live[i] = remaining[i] > 0;
-                any = any || live[i];
-                if (remaining[i] > 0)
-                    --remaining[i];
-            }
-            if (any)
-                session.step(live);
-        }
+        session.runEpisode(lengths.data());
         total.merge(session.report());
     }
     return total;

@@ -83,9 +83,11 @@ class AcceleratorSession
      */
     void step(const std::vector<bool> &live);
 
+    /** Step one episode; lane i is live for its first lengths[i]. */
+    void runEpisode(const int *lengths);
+
     const InaxReport &report() const { return report_; }
     const InaxConfig &config() const { return cfg_; }
-    size_t batchSize() const { return batch_.size(); }
 
   private:
     /** Lay the batch's modeled timeline onto virtual trace tracks. */
@@ -94,6 +96,7 @@ class AcceleratorSession
     InaxConfig cfg_;
     std::vector<IndividualCost> batch_;
     InaxReport report_;
+    std::vector<bool> live_; ///< runEpisode's step mask
 
     // Modeled-timeline tracing (hw detail), latched per batch so the
     // per-step fast path is a single bool check when tracing is off.

@@ -1,28 +1,40 @@
 #include "inax/pu.hh"
 
 #include "inax/dma.hh"
-#include "nn/net_stats.hh"
 
 namespace e3 {
 
 IndividualCost
-puIndividualCost(const NetworkDef &def, const InaxConfig &cfg)
+puIndividualCost(const NetStats &stats, size_t numInputs,
+                 size_t numOutputs, const InaxConfig &cfg)
 {
-    assertOk(cfg.validate());
-    const auto net = FeedForwardNetwork::create(def);
-    const InferenceCost inference = scheduleInference(net, cfg);
+    std::vector<std::vector<size_t>> layerInDegrees;
+    layerInDegrees.reserve(stats.layerSizes.size());
+    auto degree = stats.inDegrees.begin();
+    for (size_t size : stats.layerSizes) {
+        layerInDegrees.emplace_back(degree, degree + size);
+        degree += size;
+    }
+    const InferenceCost inference = scheduleInference(layerInDegrees, cfg);
 
     IndividualCost cost;
     cost.inferenceCycles = inference.cycles;
     cost.peActiveCycles = inference.peActiveCycles;
     cost.setupCycles =
-        setupCycles(net.nodeCount(), net.connectionCount(), cfg);
-    cost.numInputs = net.numInputs();
-    cost.numOutputs = net.numOutputs();
+        setupCycles(stats.activeNodes, stats.activeConnections, cfg);
+    cost.numInputs = numInputs;
+    cost.numOutputs = numOutputs;
     cost.weightBufferWords =
-        configWords(net.nodeCount(), net.connectionCount());
-    cost.valueBufferWords = net.valueSlots();
+        configWords(stats.activeNodes, stats.activeConnections);
+    cost.valueBufferWords = numInputs + stats.activeNodes;
     return cost;
+}
+
+IndividualCost
+puIndividualCost(const NetworkDef &def, const InaxConfig &cfg)
+{
+    return puIndividualCost(computeNetStats(def), def.inputIds.size(),
+                            def.outputIds.size(), cfg);
 }
 
 } // namespace e3

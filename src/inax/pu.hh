@@ -14,6 +14,7 @@
 #define E3_INAX_PU_HH
 
 #include "inax/schedule.hh"
+#include "nn/net_stats.hh"
 
 namespace e3 {
 
@@ -33,7 +34,14 @@ struct IndividualCost
     uint64_t valueBufferWords = 0;
 };
 
-/** Cost of one individual on an INAX PU. */
+/**
+ * Cost of one individual on an INAX PU from its structure statistics
+ * (the wave schedule runs over layerSizes/inDegrees).
+ */
+IndividualCost puIndividualCost(const NetStats &stats, size_t numInputs,
+                                size_t numOutputs, const InaxConfig &cfg);
+
+/** Cost of one individual on an INAX PU (via computeNetStats). */
 IndividualCost puIndividualCost(const NetworkDef &def,
                                 const InaxConfig &cfg);
 

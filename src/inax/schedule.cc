@@ -7,42 +7,16 @@
 
 namespace e3 {
 
-namespace {
-
-/** Wave-schedule one layer's node costs onto n PEs. */
-void
-scheduleLayer(const std::vector<uint64_t> &nodeCycles, size_t numPEs,
-              InferenceCost &cost)
-{
-    for (size_t start = 0; start < nodeCycles.size(); start += numPEs) {
-        const size_t end =
-            std::min(start + numPEs, nodeCycles.size());
-        uint64_t waveCycles = 0;
-        for (size_t i = start; i < end; ++i) {
-            waveCycles = std::max(waveCycles, nodeCycles[i]);
-            cost.peActiveCycles += nodeCycles[i];
-        }
-        cost.cycles += waveCycles;
-        ++cost.waves;
-    }
-}
-
-} // namespace
-
 InferenceCost
 scheduleInference(const FeedForwardNetwork &net, const InaxConfig &cfg)
 {
-    assertOk(cfg.validate());
-    InferenceCost cost;
+    std::vector<std::vector<size_t>> layerInDegrees;
     for (const auto &layer : net.layers()) {
-        std::vector<uint64_t> nodeCycles;
-        nodeCycles.reserve(layer.size());
+        layerInDegrees.emplace_back();
         for (const auto &node : layer)
-            nodeCycles.push_back(peNodeCycles(node, cfg));
-        scheduleLayer(nodeCycles, cfg.numPEs, cost);
-        cost.cycles += cfg.layerSyncCycles;
+            layerInDegrees.back().push_back(node.links.size());
     }
-    return cost;
+    return scheduleInference(layerInDegrees, cfg);
 }
 
 InferenceCost
@@ -53,11 +27,18 @@ scheduleInference(
     assertOk(cfg.validate());
     InferenceCost cost;
     for (const auto &layer : layerInDegrees) {
-        std::vector<uint64_t> nodeCycles;
-        nodeCycles.reserve(layer.size());
-        for (size_t deg : layer)
-            nodeCycles.push_back(peNodeCycles(deg, cfg));
-        scheduleLayer(nodeCycles, cfg.numPEs, cost);
+        // Waves of numPEs nodes, each as long as its slowest node.
+        for (size_t start = 0; start < layer.size(); start += cfg.numPEs) {
+            const size_t end = std::min(start + cfg.numPEs, layer.size());
+            uint64_t waveCycles = 0;
+            for (size_t i = start; i < end; ++i) {
+                const uint64_t nodeCycles = peNodeCycles(layer[i], cfg);
+                waveCycles = std::max(waveCycles, nodeCycles);
+                cost.peActiveCycles += nodeCycles;
+            }
+            cost.cycles += waveCycles;
+            ++cost.waves;
+        }
         cost.cycles += cfg.layerSyncCycles;
     }
     return cost;

@@ -4,6 +4,7 @@
 
 #include "common/hot.hh"
 #include "common/logging.hh"
+#include "nn/layering.hh"
 
 namespace e3 {
 
@@ -203,7 +204,8 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
     eval->plan_.numOutputs = defs.front().outputIds.size();
 
     for (size_t i = 0; i < defs.size(); ++i) {
-        if (Status invariants = checkDefInvariants(defs[i], false);
+        const NetAnalysis analysis = analyzeNetwork(defs[i]);
+        if (Status invariants = checkDefInvariants(defs[i], analysis);
             !invariants.ok()) {
             return Status::error("genome ", i, ": malformed NetworkDef: ",
                                  invariants.message());
@@ -213,7 +215,7 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
                 eval->plan_.numInputs, eval->plan_.numOutputs);
             !arity.ok())
             return arity;
-        eval->appendLane(FeedForwardNetwork::create(defs[i]));
+        eval->appendLane(FeedForwardNetwork::create(defs[i], analysis));
     }
     eval->plan_.arenaSize = eval->plan_.lanes.back().valueBase +
                             eval->plan_.lanes.back().slotCount;
@@ -238,7 +240,8 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
             "networks; use the loop adapter for recurrent or "
             "quantized evaluation");
     }
-    if (Status invariants = checkDefInvariants(def, false);
+    const NetAnalysis analysis = analyzeNetwork(def);
+    if (Status invariants = checkDefInvariants(def, analysis);
         !invariants.ok())
         return Status::error("malformed NetworkDef: ",
                              invariants.message());
@@ -246,7 +249,7 @@ BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
     auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
     eval->plan_.numInputs = def.inputIds.size();
     eval->plan_.numOutputs = def.outputIds.size();
-    eval->appendLane(FeedForwardNetwork::create(def));
+    eval->appendLane(FeedForwardNetwork::create(def, analysis));
 
     // One shared program; each further lane is just a fresh region of
     // the value arena (the output-slot table is lane-local, so it is

@@ -1,8 +1,7 @@
 #include "nn/compile.hh"
 
 #include <cmath>
-#include <set>
-#include <utility>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "nn/layering.hh"
@@ -12,38 +11,61 @@ namespace e3 {
 Status
 checkDefInvariants(const NetworkDef &def, bool recurrent)
 {
-    std::set<int> inputs;
+    return checkDefInvariants(def, analyzeNetwork(def), recurrent);
+}
+
+Status
+checkDefInvariants(const NetworkDef &def, const NetAnalysis &a,
+                   bool recurrent)
+{
+    std::vector<uint8_t> seen(a.ids.size(), 0);
     for (int id : def.inputIds) {
-        if (!inputs.insert(id).second)
+        if (seen[a.indexOf(id)]++)
             return Status::error("duplicate input id ", id);
     }
-    std::set<int> nodes;
+    std::vector<uint8_t> declared(a.ids.size(), 0);
     for (const auto &node : def.nodes) {
-        if (!nodes.insert(node.id).second)
+        const uint32_t d = a.indexOf(node.id);
+        if (declared[d])
             return Status::error("duplicate node id ", node.id);
-        if (inputs.count(node.id))
+        declared[d] = 1;
+        if (a.isInput[d])
             return Status::error("input id ", node.id,
                                  " declared as a computed node");
         if (!std::isfinite(node.bias))
             return Status::error("non-finite bias on node ", node.id);
     }
     for (int id : def.outputIds) {
-        if (!nodes.count(id))
+        if (!declared[a.indexOf(id)])
             return Status::error("output node ", id, " is not defined");
     }
-    std::set<std::pair<int, int>> conns;
-    for (const auto &conn : def.conns) {
-        if (!conns.insert({conn.from, conn.to}).second)
+
+    // A connection repeats an earlier one when the same source shows
+    // up twice in its target's ingress list (kept in def.conns order).
+    std::vector<uint8_t> repeat(def.conns.size(), 0);
+    std::vector<uint32_t> lastTarget(a.ids.size(), UINT32_MAX);
+    for (uint32_t d = 0; d < a.ids.size(); ++d) {
+        for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
+             ++i) {
+            const uint32_t k = a.ingress[i];
+            repeat[k] = lastTarget[a.connSrc[k]] == d;
+            lastTarget[a.connSrc[k]] = d;
+        }
+    }
+
+    for (uint32_t k = 0; k < def.conns.size(); ++k) {
+        const NetworkDef::Conn &conn = def.conns[k];
+        if (repeat[k])
             return Status::error("duplicate connection ", conn.from,
                                  "->", conn.to);
-        if (inputs.count(conn.to) || conn.to < 0)
+        if (a.isInput[a.connDst[k]] || conn.to < 0)
             return Status::error("connection ", conn.from, "->",
                                  conn.to, " targets an input id");
-        if (!nodes.count(conn.to))
+        if (!declared[a.connDst[k]])
             return Status::error("connection ", conn.from, "->",
                                  conn.to, " targets undefined node ",
                                  conn.to);
-        if (!inputs.count(conn.from) && !nodes.count(conn.from))
+        if (!a.isInput[a.connSrc[k]] && !declared[a.connSrc[k]])
             return Status::error("connection ", conn.from, "->",
                                  conn.to, " reads undefined node ",
                                  conn.from);
@@ -51,7 +73,7 @@ checkDefInvariants(const NetworkDef &def, bool recurrent)
             return Status::error("non-finite weight on connection ",
                                  conn.from, "->", conn.to);
     }
-    if (!recurrent && !isAcyclic(def))
+    if (!recurrent && !a.acyclic)
         return Status::error(
             "connections form a cycle in a feed-forward definition");
     return Status();
@@ -64,7 +86,9 @@ compileNetwork(const NetworkDef &def,
     if (options.recurrent && options.quantization)
         return Status::error(
             "quantized recurrent evaluation is not supported");
-    if (Status invariants = checkDefInvariants(def, options.recurrent);
+    const NetAnalysis analysis = analyzeNetwork(def);
+    if (Status invariants =
+            checkDefInvariants(def, analysis, options.recurrent);
         !invariants.ok()) {
         return Status::error("malformed NetworkDef: ",
                              invariants.message());
@@ -78,10 +102,10 @@ compileNetwork(const NetworkDef &def,
     }
     if (options.recurrent) {
         return std::unique_ptr<Network>(std::make_unique<RecurrentNetwork>(
-            RecurrentNetwork::create(def)));
+            RecurrentNetwork::create(def, analysis)));
     }
     return std::unique_ptr<Network>(std::make_unique<FeedForwardNetwork>(
-        FeedForwardNetwork::create(def)));
+        FeedForwardNetwork::create(def, analysis)));
 }
 
 } // namespace e3

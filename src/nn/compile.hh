@@ -60,6 +60,11 @@ compileNetwork(const NetworkDef &def,
  */
 Status checkDefInvariants(const NetworkDef &def, bool recurrent = false);
 
+/** checkDefInvariants() over the def's analysis (nn/layering.hh). */
+Status checkDefInvariants(const NetworkDef &def,
+                          const NetAnalysis &analysis,
+                          bool recurrent = false);
+
 } // namespace e3
 
 #endif // E3_NN_COMPILE_HH

@@ -1,32 +1,162 @@
 #include "nn/layering.hh"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 #include "common/logging.hh"
 
 namespace e3 {
 
-std::set<int>
+namespace {
+
+/** CSR of connection indices grouped by key[k] < n, in k order. */
+void
+groupConns(const std::vector<uint32_t> &key, size_t n,
+           std::vector<uint32_t> &begin, std::vector<uint32_t> &conns)
+{
+    begin.assign(n + 1, 0);
+    for (uint32_t d : key)
+        ++begin[d + 1];
+    for (size_t d = 0; d < n; ++d)
+        begin[d + 1] += begin[d];
+    std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+    conns.resize(key.size());
+    for (uint32_t k = 0; k < key.size(); ++k)
+        conns[fill[key[k]]++] = k;
+}
+
+} // namespace
+
+uint32_t
+NetAnalysis::indexOf(int id) const
+{
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    e3_assert(it != ids.end() && *it == id, "id ", id,
+              " is not mentioned by the def");
+    return static_cast<uint32_t>(it - ids.begin());
+}
+
+void
+NetAnalysis::assertAcyclic() const
+{
+    for (uint32_t d = 0; !acyclic && d < ids.size(); ++d) {
+        e3_assert(!required[d] || isInput[d] || level[d] > 0,
+                  "unplaceable node ", ids[d], " implies a cycle");
+    }
+}
+
+NetAnalysis
+analyzeNetwork(const NetworkDef &def)
+{
+    NetAnalysis a;
+    a.ids = def.inputIds;
+    a.ids.insert(a.ids.end(), def.outputIds.begin(), def.outputIds.end());
+    for (const auto &node : def.nodes)
+        a.ids.push_back(node.id);
+    for (const auto &c : def.conns) {
+        a.ids.push_back(c.from);
+        a.ids.push_back(c.to);
+    }
+    std::sort(a.ids.begin(), a.ids.end());
+    a.ids.erase(std::unique(a.ids.begin(), a.ids.end()), a.ids.end());
+    const size_t n = a.ids.size();
+
+    a.isInput.assign(n, 0);
+    for (int id : def.inputIds)
+        a.isInput[a.indexOf(id)] = 1;
+    a.connSrc.reserve(def.conns.size());
+    a.connDst.reserve(def.conns.size());
+    for (const auto &c : def.conns) {
+        a.connSrc.push_back(a.indexOf(c.from));
+        a.connDst.push_back(a.indexOf(c.to));
+    }
+    groupConns(a.connDst, n, a.ingressBegin, a.ingress);
+    std::vector<uint32_t> egressBegin;
+    std::vector<uint32_t> egress;
+    groupConns(a.connSrc, n, egressBegin, egress);
+
+    // Required: reverse DFS from the outputs, as in neat-python's
+    // required_for_output(); inputs are sources, never walked through.
+    a.required.assign(n, 0);
+    std::vector<uint32_t> stack;
+    auto require = [&](uint32_t d) {
+        if (!a.required[d]) {
+            a.required[d] = 1;
+            stack.push_back(d);
+        }
+    };
+    for (int id : def.outputIds)
+        require(a.indexOf(id));
+    while (!stack.empty()) {
+        const uint32_t d = stack.back();
+        stack.pop_back();
+        for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
+             ++i) {
+            if (!a.isInput[a.connSrc[a.ingress[i]]])
+                require(a.connSrc[a.ingress[i]]);
+        }
+    }
+
+    // Kahn levelization of the required non-input nodes: inputs are
+    // available from the start, and a node lands one layer past its
+    // deepest source. pending[d] counts unplaced sources.
+    auto placeable = [&](uint32_t d) {
+        return a.required[d] && !a.isInput[d];
+    };
+    std::vector<uint32_t> pending(n, 0);
+    a.level.assign(n, 0);
+    size_t toPlace = 0;
+    for (uint32_t d = 0; d < n; ++d) {
+        if (!placeable(d))
+            continue;
+        ++toPlace;
+        for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
+             ++i)
+            pending[d] += a.isInput[a.connSrc[a.ingress[i]]] ? 0 : 1;
+        if (pending[d] == 0) {
+            a.level[d] = 1;
+            stack.push_back(d);
+        }
+    }
+    a.order.reserve(toPlace);
+    while (!stack.empty()) {
+        const uint32_t s = stack.back();
+        stack.pop_back();
+        a.order.push_back(s);
+        for (uint32_t i = egressBegin[s]; i < egressBegin[s + 1]; ++i) {
+            const uint32_t d = a.connDst[egress[i]];
+            if (!placeable(d))
+                continue;
+            a.level[d] = std::max(a.level[d], a.level[s] + 1);
+            if (--pending[d] == 0)
+                stack.push_back(d);
+        }
+    }
+    a.acyclic = a.order.size() == toPlace;
+    for (uint32_t d = 0; d < n; ++d) {
+        if (pending[d] > 0)
+            a.level[d] = 0; // on or behind a cycle: never placed
+    }
+
+    std::sort(a.order.begin(), a.order.end(), [&](uint32_t x, uint32_t y) {
+        return std::tie(a.level[x], x) < std::tie(a.level[y], y);
+    });
+    for (uint32_t i = 1; i <= a.order.size(); ++i) {
+        if (i == a.order.size() ||
+            a.level[a.order[i]] != a.level[a.order[i - 1]])
+            a.layerEnd.push_back(i);
+    }
+    return a;
+}
+
+std::vector<int>
 requiredNodes(const NetworkDef &def)
 {
-    // Backward reachability from the outputs, as in neat-python's
-    // required_for_output(): walk connections in reverse until no new
-    // node is discovered. Inputs are never "required" (they are sources,
-    // not computed nodes).
-    std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
-    std::set<int> required(def.outputIds.begin(), def.outputIds.end());
-
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (const auto &c : def.conns) {
-            if (required.count(c.to) && !required.count(c.from) &&
-                !inputs.count(c.from)) {
-                required.insert(c.from);
-                grew = true;
-            }
-        }
+    const NetAnalysis a = analyzeNetwork(def);
+    std::vector<int> required;
+    for (uint32_t d = 0; d < a.ids.size(); ++d) {
+        if (a.required[d])
+            required.push_back(a.ids[d]);
     }
     return required;
 }
@@ -34,48 +164,12 @@ requiredNodes(const NetworkDef &def)
 std::vector<std::vector<int>>
 feedForwardLayers(const NetworkDef &def)
 {
-    const std::set<int> required = requiredNodes(def);
-
-    // Ingress lists restricted to required nodes; connections from
-    // unrequired nodes can never fire and are ignored.
-    std::map<int, std::vector<int>> ingress;
-    for (int id : required)
-        ingress[id]; // ensure every required node has an entry
-    std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
-            continue;
-        if (inputs.count(c.from) || required.count(c.from))
-            ingress[c.to].push_back(c.from);
-    }
-
-    std::set<int> placed(inputs); // inputs are available from the start
-    std::vector<std::vector<int>> layers;
-
-    while (true) {
-        std::vector<int> layer;
-        for (const auto &[id, sources] : ingress) {
-            if (placed.count(id))
-                continue;
-            // Readiness is vacuously true for ingress-free nodes (e.g.
-            // an output whose last in-connection was deleted): they are
-            // placed immediately since others may depend on them.
-            const bool ready = std::all_of(
-                sources.begin(), sources.end(),
-                [&](int src) { return placed.count(src) > 0; });
-            if (ready)
-                layer.push_back(id);
-        }
-        if (layer.empty())
-            break;
-        for (int id : layer)
-            placed.insert(id);
-        layers.push_back(std::move(layer));
-    }
-
-    for (const auto &[id, sources] : ingress) {
-        e3_assert(placed.count(id),
-                  "unplaceable node ", id, " implies a cycle");
+    const NetAnalysis a = analyzeNetwork(def);
+    a.assertAcyclic();
+    std::vector<std::vector<int>> layers(a.layerEnd.size());
+    for (uint32_t l = 0, i = 0; l < layers.size(); ++l) {
+        for (; i < a.layerEnd[l]; ++i)
+            layers[l].push_back(a.ids[a.order[i]]);
     }
     return layers;
 }
@@ -83,42 +177,7 @@ feedForwardLayers(const NetworkDef &def)
 bool
 isAcyclic(const NetworkDef &def)
 {
-    // feedForwardLayers places every required node iff the graph is
-    // acyclic over required nodes; detect the cycle case directly with
-    // the same fixed-point but without the orphan panic.
-    const std::set<int> required = requiredNodes(def);
-    std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
-
-    std::map<int, std::vector<int>> ingress;
-    for (int id : required)
-        ingress[id];
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
-            continue;
-        if (inputs.count(c.from) || required.count(c.from))
-            ingress[c.to].push_back(c.from);
-    }
-
-    std::set<int> placed(inputs);
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (const auto &[id, sources] : ingress) {
-            if (placed.count(id))
-                continue;
-            const bool ready = std::all_of(
-                sources.begin(), sources.end(),
-                [&](int src) { return placed.count(src) > 0; });
-            if (ready) {
-                placed.insert(id);
-                grew = true;
-            }
-        }
-    }
-    return std::all_of(ingress.begin(), ingress.end(),
-                       [&](const auto &kv) {
-                           return placed.count(kv.first) > 0;
-                       });
+    return analyzeNetwork(def).acyclic;
 }
 
 } // namespace e3

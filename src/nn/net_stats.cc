@@ -1,7 +1,5 @@
 #include "nn/net_stats.hh"
 
-#include <set>
-
 #include "common/logging.hh"
 #include "nn/layering.hh"
 
@@ -10,46 +8,38 @@ namespace e3 {
 NetStats
 computeNetStats(const NetworkDef &def)
 {
+    const NetAnalysis a = analyzeNetwork(def);
     NetStats stats;
 
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(), def.inputIds.end());
-
-    // Cyclic (recurrent) definitions have no dependency layering; all
-    // required nodes form one synchronous wave set per tick.
-    const bool acyclic = isAcyclic(def);
-    std::vector<std::vector<int>> layers;
-    if (acyclic) {
-        layers = feedForwardLayers(def);
-    } else {
-        layers.emplace_back(required.begin(), required.end());
-    }
-
-    stats.activeNodes = 0;
-    for (const auto &layer : layers) {
-        stats.layerSizes.push_back(layer.size());
-        stats.activeNodes += layer.size();
-    }
-
-    // Count active connections and per-node in-degree.
-    std::vector<size_t> degreeOf;
-    for (const auto &layer : layers) {
-        for (int id : layer) {
-            size_t deg = 0;
-            for (const auto &c : def.conns) {
-                if (c.to != id)
-                    continue;
-                if (inputs.count(c.from) || required.count(c.from))
-                    ++deg;
-            }
-            degreeOf.push_back(deg);
-            stats.activeConnections += deg;
+    // Active nodes in execution order. Cyclic (recurrent) definitions
+    // have no dependency layering; all required nodes form one
+    // synchronous wave set per tick, in id order.
+    std::vector<uint32_t> active;
+    if (a.acyclic) {
+        active = a.order;
+        uint32_t begin = 0;
+        for (uint32_t end : a.layerEnd) {
+            stats.layerSizes.push_back(end - begin);
+            begin = end;
         }
+    } else {
+        for (uint32_t d = 0; d < a.ids.size(); ++d) {
+            if (a.required[d])
+                active.push_back(d);
+        }
+        stats.layerSizes.push_back(active.size());
     }
-    stats.inDegrees = std::move(degreeOf);
+    stats.activeNodes = active.size();
+
+    // In-degree of each active node: its live ingress list.
+    stats.inDegrees.reserve(active.size());
+    for (uint32_t d : active) {
+        stats.inDegrees.push_back(a.inDegree(d));
+        stats.activeConnections += a.inDegree(d);
+    }
 
     uint64_t dense = 0;
-    if (acyclic) {
+    if (a.acyclic) {
         std::vector<size_t> denseLayers;
         denseLayers.push_back(def.inputIds.size());
         for (size_t s : stats.layerSizes)
@@ -76,28 +66,21 @@ measureActivationDensity(FeedForwardNetwork &net, size_t samples,
 
     uint64_t totalMacs = 0;
     uint64_t liveMacs = 0;
-    std::vector<double> values(net.valueSlots(), 0.0);
     std::vector<double> inputs(net.numInputs());
-
+    std::vector<double> outputs(net.numOutputs());
     for (size_t s = 0; s < samples; ++s) {
         for (auto &x : inputs)
             x = rng.uniform(-1.0, 1.0);
-        for (size_t i = 0; i < inputs.size(); ++i)
-            values[i] = inputs[i];
-        // Re-run the layer evaluation here so per-link operand values
-        // are observable (FeedForwardNetwork only exposes outputs).
+        // Each slot is written once per inference, so afterwards the
+        // value array holds every link's operand.
+        net.activateInto(inputs.data(), outputs.data());
         for (const auto &layer : net.layers()) {
             for (const auto &node : layer) {
-                Aggregator agg(node.agg);
                 for (const auto &link : node.links) {
-                    const double v = values[link.srcSlot];
                     ++totalMacs;
                     // e3-lint: float-eq-ok -- exact zero-skip check, not a tolerance bug
-                    liveMacs += v != 0.0 ? 1 : 0;
-                    agg.add(v * link.weight);
+                    liveMacs += net.values()[link.srcSlot] != 0.0 ? 1 : 0;
                 }
-                values[node.slot] = applyActivation(
-                    node.act, agg.result() + node.bias);
             }
         }
     }

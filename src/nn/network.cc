@@ -1,7 +1,5 @@
 #include "nn/network.hh"
 
-#include <map>
-
 #include "common/hot.hh"
 #include "common/logging.hh"
 #include "nn/layering.hh"
@@ -25,75 +23,68 @@ NetworkDef::empty(size_t numInputs, size_t numOutputs)
 FeedForwardNetwork
 FeedForwardNetwork::create(const NetworkDef &def)
 {
+    return create(def, analyzeNetwork(def));
+}
+
+CompiledNodes
+compileNodes(const NetworkDef &def, const NetAnalysis &a,
+             const std::vector<uint32_t> &order)
+{
     e3_assert(!def.inputIds.empty(), "network needs at least one input");
     e3_assert(!def.outputIds.empty(),
               "network needs at least one output");
+    std::vector<const NetworkDef::Node *> nodeOf(a.ids.size(), nullptr);
+    for (const auto &n : def.nodes) {
+        const NetworkDef::Node *&decl = nodeOf[a.indexOf(n.id)];
+        e3_assert(!decl, "duplicate node id ", n.id);
+        decl = &n;
+    }
+    for (int id : def.outputIds)
+        e3_assert(nodeOf[a.indexOf(id)], "output node ", id, " missing");
 
+    // Slots: inputs first (a repeated input id keeps its last slot).
+    std::vector<uint32_t> slotOf(a.ids.size(), 0);
+    for (size_t i = 0; i < def.inputIds.size(); ++i)
+        slotOf[a.indexOf(def.inputIds[i])] = static_cast<uint32_t>(i);
+    CompiledNodes out;
+    out.slotCount = static_cast<uint32_t>(def.inputIds.size());
+    for (uint32_t d : order)
+        slotOf[d] = out.slotCount++;
+
+    out.nodes.reserve(order.size());
+    for (uint32_t d : order) {
+        const NetworkDef::Node *src = nodeOf[d];
+        e3_assert(src, "connection references unknown node ", a.ids[d]);
+        EvalNode &node = out.nodes.emplace_back(EvalNode{
+            a.ids[d], slotOf[d], src->bias, src->act, src->agg, {}});
+        node.links.reserve(a.inDegree(d));
+        for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
+             ++i) {
+            const uint32_t k = a.ingress[i];
+            node.links.push_back(
+                {slotOf[a.connSrc[k]], def.conns[k].weight});
+        }
+    }
+    for (int id : def.outputIds)
+        out.outputSlots.push_back(slotOf[a.indexOf(id)]);
+    return out;
+}
+
+FeedForwardNetwork
+FeedForwardNetwork::create(const NetworkDef &def, const NetAnalysis &a)
+{
+    a.assertAcyclic();
+    CompiledNodes compiled = compileNodes(def, a, a.order);
     FeedForwardNetwork net;
     net.numInputs_ = def.inputIds.size();
-
-    // Slot assignment: inputs first, then compiled nodes in layer order.
-    std::map<int, uint32_t> slotOf;
-    for (size_t i = 0; i < def.inputIds.size(); ++i)
-        slotOf[def.inputIds[i]] = static_cast<uint32_t>(i);
-
-    std::map<int, const NetworkDef::Node *> nodeOf;
-    for (const auto &n : def.nodes) {
-        e3_assert(!nodeOf.count(n.id), "duplicate node id ", n.id);
-        nodeOf[n.id] = &n;
+    net.slotCount_ = compiled.slotCount;
+    net.outputSlots_ = std::move(compiled.outputSlots);
+    net.layers_.resize(a.layerEnd.size());
+    for (uint32_t l = 0, i = 0; l < a.layerEnd.size(); ++l) {
+        net.layers_[l].reserve(a.layerEnd[l] - i);
+        for (; i < a.layerEnd[l]; ++i)
+            net.layers_[l].push_back(std::move(compiled.nodes[i]));
     }
-    for (int id : def.outputIds)
-        e3_assert(nodeOf.count(id), "output node ", id, " missing");
-
-    const auto layerIds = feedForwardLayers(def);
-
-    uint32_t nextSlot = static_cast<uint32_t>(def.inputIds.size());
-    for (const auto &layer : layerIds) {
-        for (int id : layer)
-            slotOf[id] = nextSlot++;
-    }
-    // Outputs pruned as unreachable-from-required still need slots: an
-    // output always exists. (feedForwardLayers keeps them, so this is a
-    // consistency check rather than a fixup.)
-    for (int id : def.outputIds)
-        e3_assert(slotOf.count(id), "output ", id, " was not layered");
-
-    net.slotCount_ = nextSlot;
-
-    // Compile each layer's nodes with their ingress links.
-    const std::set<int> required = requiredNodes(def);
-    std::map<int, std::vector<EvalLink>> linksOf;
-    std::set<int> inputSet(def.inputIds.begin(), def.inputIds.end());
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
-            continue;
-        if (!inputSet.count(c.from) && !required.count(c.from))
-            continue;
-        linksOf[c.to].push_back({slotOf.at(c.from), c.weight});
-    }
-
-    for (const auto &layer : layerIds) {
-        std::vector<EvalNode> compiled;
-        compiled.reserve(layer.size());
-        for (int id : layer) {
-            const auto *src = nodeOf.count(id) ? nodeOf.at(id) : nullptr;
-            e3_assert(src, "connection references unknown node ", id);
-            EvalNode en;
-            en.id = id;
-            en.slot = slotOf.at(id);
-            en.bias = src->bias;
-            en.act = src->act;
-            en.agg = src->agg;
-            en.links = linksOf.count(id) ? linksOf.at(id)
-                                         : std::vector<EvalLink>{};
-            compiled.push_back(std::move(en));
-        }
-        net.layers_.push_back(std::move(compiled));
-    }
-
-    for (int id : def.outputIds)
-        net.outputSlots_.push_back(slotOf.at(id));
-
     net.values_.assign(net.slotCount_, 0.0);
     return net;
 }

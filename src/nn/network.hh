@@ -27,6 +27,8 @@
 
 namespace e3 {
 
+struct NetAnalysis;
+
 /** Hardware-agnostic network description (decoded genome). */
 struct NetworkDef
 {
@@ -73,6 +75,23 @@ struct EvalNode
     Aggregation agg;
     std::vector<EvalLink> links; ///< ingress connections
 };
+
+/** A def's nodes in one execution order (slots: inputs, then nodes). */
+struct CompiledNodes
+{
+    std::vector<EvalNode> nodes;
+    std::vector<uint32_t> outputSlots; ///< in outputIds order
+    uint32_t slotCount = 0;
+};
+
+/**
+ * Compile the nodes @p order lists (dense indices of @p analysis) with
+ * links in def.conns order, as both evaluators do. Panics on an empty
+ * interface or a repeated or undeclared node id.
+ */
+CompiledNodes compileNodes(const NetworkDef &def,
+                           const NetAnalysis &analysis,
+                           const std::vector<uint32_t> &order);
 
 /**
  * Common interface of every executable network form (feed-forward,
@@ -122,6 +141,10 @@ class FeedForwardNetwork : public Network
   public:
     /** Compile a definition (prunes nodes not required for outputs). */
     static FeedForwardNetwork create(const NetworkDef &def);
+
+    /** Compile from the def's analysis (nn/layering.hh). */
+    static FeedForwardNetwork create(const NetworkDef &def,
+                                     const NetAnalysis &analysis);
 
     /**
      * Run one inference.

@@ -74,15 +74,6 @@ QuantizedNetwork::QuantizedNetwork(FeedForwardNetwork net,
     : net_(std::move(net)), format_(format)
 {
     values_.assign(net_.valueSlots(), 0.0);
-    // Output slots: the nodes with ids 0..numOutputs-1.
-    outputSlots_.assign(net_.numOutputs(), 0);
-    for (const auto &layer : net_.layers()) {
-        for (const auto &node : layer) {
-            if (node.id >= 0 &&
-                node.id < static_cast<int>(net_.numOutputs()))
-                outputSlots_[static_cast<size_t>(node.id)] = node.slot;
-        }
-    }
 }
 
 QuantizedNetwork
@@ -114,8 +105,8 @@ QuantizedNetwork::activateInto(const double *inputs, double *outputs)
         }
     }
 
-    for (size_t o = 0; o < outputSlots_.size(); ++o)
-        outputs[o] = values_[outputSlots_[o]];
+    for (size_t o = 0; o < net_.outputSlots().size(); ++o)
+        outputs[o] = values_[net_.outputSlots()[o]];
 }
 
 } // namespace e3

@@ -73,7 +73,6 @@ class QuantizedNetwork : public Network
     FeedForwardNetwork net_;
     FixedPointFormat format_;
     std::vector<double> values_;
-    std::vector<uint32_t> outputSlots_;
 };
 
 } // namespace e3

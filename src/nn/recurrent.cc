@@ -1,8 +1,5 @@
 #include "nn/recurrent.hh"
 
-#include <map>
-#include <set>
-
 #include "common/logging.hh"
 #include "nn/layering.hh"
 
@@ -11,65 +8,26 @@ namespace e3 {
 RecurrentNetwork
 RecurrentNetwork::create(const NetworkDef &def)
 {
-    e3_assert(!def.inputIds.empty(), "network needs at least one input");
-    e3_assert(!def.outputIds.empty(),
-              "network needs at least one output");
+    return create(def, analyzeNetwork(def));
+}
 
+RecurrentNetwork
+RecurrentNetwork::create(const NetworkDef &def, const NetAnalysis &a)
+{
+    // Every required node, in id order (no topological constraint
+    // exists for recurrent evaluation).
+    std::vector<uint32_t> order;
+    for (uint32_t d = 0; d < a.ids.size(); ++d) {
+        if (a.required[d])
+            order.push_back(d);
+    }
+    CompiledNodes compiled = compileNodes(def, a, order);
     RecurrentNetwork net;
     net.numInputs_ = def.inputIds.size();
-
-    const std::set<int> required = requiredNodes(def);
-    const std::set<int> inputs(def.inputIds.begin(),
-                               def.inputIds.end());
-
-    // Slot assignment: inputs first, then required nodes in id order
-    // (no topological constraint exists for recurrent evaluation).
-    std::map<int, uint32_t> slotOf;
-    for (size_t i = 0; i < def.inputIds.size(); ++i)
-        slotOf[def.inputIds[i]] = static_cast<uint32_t>(i);
-    uint32_t nextSlot = static_cast<uint32_t>(def.inputIds.size());
-
-    std::map<int, const NetworkDef::Node *> nodeOf;
-    for (const auto &n : def.nodes) {
-        e3_assert(!nodeOf.count(n.id), "duplicate node id ", n.id);
-        nodeOf[n.id] = &n;
-    }
-    for (int id : def.outputIds)
-        e3_assert(nodeOf.count(id), "output node ", id, " missing");
-
-    for (int id : required) {
-        e3_assert(nodeOf.count(id),
-                  "connection references unknown node ", id);
-        slotOf[id] = nextSlot++;
-    }
-
-    std::map<int, std::vector<EvalLink>> linksOf;
-    for (const auto &c : def.conns) {
-        if (!required.count(c.to))
-            continue;
-        if (!inputs.count(c.from) && !required.count(c.from))
-            continue;
-        linksOf[c.to].push_back({slotOf.at(c.from), c.weight});
-    }
-
-    for (int id : required) {
-        const auto *src = nodeOf.at(id);
-        EvalNode en;
-        en.id = id;
-        en.slot = slotOf.at(id);
-        en.bias = src->bias;
-        en.act = src->act;
-        en.agg = src->agg;
-        en.links = linksOf.count(id) ? linksOf.at(id)
-                                     : std::vector<EvalLink>{};
-        net.nodes_.push_back(std::move(en));
-    }
-
-    for (int id : def.outputIds)
-        net.outputSlots_.push_back(slotOf.at(id));
-
-    net.prev_.assign(nextSlot, 0.0);
-    net.next_.assign(nextSlot, 0.0);
+    net.nodes_ = std::move(compiled.nodes);
+    net.outputSlots_ = std::move(compiled.outputSlots);
+    net.prev_.assign(compiled.slotCount, 0.0);
+    net.next_.assign(compiled.slotCount, 0.0);
     return net;
 }
 

@@ -37,6 +37,10 @@ class RecurrentNetwork : public Network
      */
     static RecurrentNetwork create(const NetworkDef &def);
 
+    /** Compile from the def's analysis (nn/layering.hh). */
+    static RecurrentNetwork create(const NetworkDef &def,
+                                   const NetAnalysis &analysis);
+
     /** Advance one tick; writes output values after the tick. */
     void activateInto(const double *inputs, double *outputs) override;
 

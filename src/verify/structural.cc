@@ -316,14 +316,14 @@ verifyNetworkDef(const NetworkDef &def, bool feedForward)
     if (report.hasErrors())
         return report;
 
-    if (feedForward && !isAcyclic(def)) {
+    const NetAnalysis analysis = analyzeNetwork(def);
+    if (feedForward && !analysis.acyclic) {
         report.add(makeDiagnostic(
             rules::kFeedForwardCycle, "",
             "connections form a cycle through required nodes"));
     } else {
-        std::set<int> required = requiredNodes(def);
         for (const auto &node : def.nodes) {
-            if (!required.count(node.id)) {
+            if (!analysis.required[analysis.indexOf(node.id)]) {
                 report.add(makeDiagnostic(
                     rules::kUnreachableHidden, nodeLocus(node.id),
                     "node " + std::to_string(node.id) +

@@ -14,11 +14,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "e3/cpu_backend.hh"
+#include "e3/platform.hh"
 #include "mini_json.hh"
 #include "obs/trace.hh"
 #include "runtime/thread_pool.hh"
@@ -396,6 +399,37 @@ TEST(Trace, EscapesHostileSpanNames)
     for (const auto &e : events)
         found = found || (e.ph == "X" && e.name == hostile);
     EXPECT_TRUE(found);
+}
+
+TEST(Trace, EveryGenerationSpanHasACompileChild)
+{
+    TraceSandbox sandbox;
+    traceStart(TraceDetail::Phase);
+    PlatformConfig cfg;
+    cfg.envName = "lunar_lander";
+    cfg.populationSize = 30;
+    cfg.maxGenerations = 4;
+    for (bool batched : {false, true}) {
+        std::unique_ptr<EvalBackend> backend =
+            batched ? std::make_unique<CpuBatchBackend>()
+                    : std::make_unique<CpuBackend>();
+        E3Platform platform(cfg, std::move(backend));
+        EXPECT_EQ(platform.run().generations, cfg.maxGenerations);
+    }
+    const auto events = stopAndParse();
+    const auto generations = named(events, "generation");
+    const auto compiles = named(events, "compile");
+    ASSERT_EQ(generations.size(), 2u * cfg.maxGenerations);
+    for (const FlatEvent &gen : generations) {
+        EXPECT_EQ(gen.ph, "X");
+        size_t children = 0;
+        for (const FlatEvent &c : compiles) {
+            if (c.tid == gen.tid && c.ts >= gen.ts &&
+                c.ts + c.dur <= gen.ts + gen.dur + 1e-3)
+                ++children;
+        }
+        EXPECT_EQ(children, 1u) << "generation span at ts " << gen.ts;
+    }
 }
 
 TEST(Trace, StopWritesAParsableFile)
