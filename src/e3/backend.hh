@@ -1,7 +1,8 @@
 /**
  * @file
  * Evaluate-phase backend interface. The E3 platform runs NEAT's
- * functional simulation once; a backend maps each generation's workload
+ * functional simulation once, on the same host engine (nn/batch_eval)
+ * whatever the backend; a backend only maps each generation's workload
  * trace onto a platform variant's execution-time model — software CPU
  * (E3-CPU), GPU (E3-GPU) or the INAX cycle model (E3-INAX) — and
  * attributes the time to a component for the energy model.
@@ -37,13 +38,12 @@ class EvalBackend
                                  EnergyBreakdownInput &energy) const = 0;
 
     /**
-     * True when the platform should run functional evaluation through
-     * the SoA population batch engine (nn/batch_eval) instead of
-     * per-genome Network::activate. Functional results are
-     * bit-identical either way — this selects the host execution
-     * substrate, not the semantics.
+     * Always true: every backend's functional inference runs on the
+     * flat batch engine, and the platform no longer asks. Kept only
+     * because perfbench's StampingBackend forwards it and its traced
+     * re-drive reads it to compile with the engine the platform runs.
      */
-    virtual bool batchedFunctionalInference() const { return false; }
+    virtual bool batchedFunctionalInference() const { return true; }
 };
 
 } // namespace e3

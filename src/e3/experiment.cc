@@ -5,6 +5,7 @@
 #include "neat/config_io.hh"
 #include "e3/gpu_backend.hh"
 #include "e3/inax_backend.hh"
+#include "nn/batch_eval.hh"
 
 namespace e3 {
 
@@ -33,10 +34,12 @@ BackendRegistry::instance()
             [](const ExperimentOptions &, const EnvSpec &) {
                 return std::make_unique<CpuBackend>();
             });
+        // Alias kept for scripts that name it: every backend runs the
+        // flat batch engine now, so it is the CPU backend.
         r.registerBackend(
-            "cpu-batch", "E3-CPU-BATCH",
+            "cpu-batch", "E3-CPU",
             [](const ExperimentOptions &, const EnvSpec &) {
-                return std::make_unique<CpuBatchBackend>();
+                return std::make_unique<CpuBackend>();
             });
         r.registerBackend(
             "gpu", "E3-GPU",
@@ -180,33 +183,25 @@ evolveAgainstEnv(const EnvSpec &spec, int generations,
     cfg.populationSize = populationSize;
     Population pop(cfg, seed);
 
+    runtime::ParallelEval rollout(runtime::RuntimeConfig{});
     for (int gen = 0;; ++gen) {
-        const size_t n = pop.genomes().size();
         std::vector<int> keys;
-        std::vector<FeedForwardNetwork> nets;
+        std::vector<NetworkDef> defs;
         for (const auto &[key, genome] : pop.genomes()) {
             keys.push_back(key);
-            nets.push_back(FeedForwardNetwork::create(
-                genome.toNetworkDef(cfg)));
+            defs.push_back(genome.toNetworkDef(cfg));
         }
-        VectorEnv venv(spec, n,
-                       seed ^ (0x51ED270BULL *
-                               (static_cast<uint64_t>(gen) + 1)));
-        venv.resetAll();
-        while (!venv.allDone()) {
-            std::vector<Action> actions(n);
-            for (size_t i = 0; i < n; ++i) {
-                if (venv.done(i)) {
-                    actions[i] = Action(spec.numOutputs, 0.0);
-                    continue;
-                }
-                actions[i] = decodeAction(
-                    spec, nets[i].activate(venv.observation(i)));
-            }
-            venv.stepAll(actions);
-        }
-        for (size_t i = 0; i < n; ++i)
-            pop.genomes().at(keys[i]).fitness = venv.fitness(i);
+        const std::unique_ptr<BatchNetwork> batch =
+            compilePopulation(defs).value();
+        runtime::EvalPlan plan;
+        plan.spec = &spec;
+        plan.lanes = keys.size();
+        plan.episodeSeeds = {
+            seed ^ (0x51ED270BULL * (static_cast<uint64_t>(gen) + 1))};
+        plan.act = batchPolicy(*batch, spec);
+        const runtime::EvalOutcome outcome = rollout.evaluate(plan);
+        for (size_t i = 0; i < keys.size(); ++i)
+            pop.genomes().at(keys[i]).fitness = outcome.fitness[i];
 
         if (gen >= generations - 1 ||
             (stopAtSolved && pop.solved()))

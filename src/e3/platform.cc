@@ -113,10 +113,8 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
 
     // CreateNet: decode every genome once per generation, then compile
     // the whole population through the one population-compile entry
-    // point (nn/batch_eval). A batch-capable backend routes this to
-    // the SoA engine; everything else gets the loop-over-Network
-    // adapter — functional results are bit-identical either way. With
-    // quantized deployment enabled, the adapter hands back fixed-point
+    // point (nn/batch_eval): the flat engine under every backend, or,
+    // with quantized deployment enabled, the adapter over fixed-point
     // evaluators (the accelerator's datapath view).
     std::vector<int> keys;
     std::vector<NetworkDef> defs;
@@ -160,11 +158,8 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     std::unique_ptr<BatchNetwork> batch;
     {
         obs::TraceSpan span("compile");
-        const BatchEngine engine = backend_->batchedFunctionalInference()
-                                       ? BatchEngine::Auto
-                                       : BatchEngine::PerGenome;
         Result<std::unique_ptr<BatchNetwork>> compiled =
-            compilePopulation(defs, compileOpts, engine);
+            compilePopulation(defs, compileOpts);
         // Evolved genomes satisfy the structural invariants by
         // construction, so a compile failure here is an evolution-loop
         // bug.
@@ -173,11 +168,10 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
         batch = std::move(compiled).value();
 
         if (cfg_.verifyGenomes) {
-            // The --verify gate, batch side: when the SoA engine
-            // compiled a flat plan, certify it (E3V301–E3V306) against
-            // the very defs it was compiled from before any lane
-            // activates. The per-genome adapter has no plan and skips
-            // this.
+            // The --verify gate, batch side: certify the flat plan
+            // (E3V301–E3V306) against the very defs it was compiled
+            // from before any lane activates. Only quantized runs,
+            // compiled to the adapter, have no plan.
             if (const BatchPlan *batchPlan = batch->plan()) {
                 verify::Report report =
                     verify::verifyBatchPlan(*batchPlan, defs);
@@ -208,14 +202,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
             (0x9E3779B97F4A7C15ULL *
              (static_cast<uint64_t>(generation) * 31 + e + 1)));
     }
-    // Lanes hand observations straight to the batch engine; distinct
-    // lanes touch disjoint value regions, so out-of-lockstep parallel
-    // rollout stays safe.
-    plan.act = [&](size_t i, const Observation &obs) {
-        std::vector<double> out(batch->numOutputs());
-        batch->activateLane(i, obs.data(), out.data());
-        return decodeAction(spec_, out);
-    };
+    plan.act = batchPolicy(*batch, spec_);
 
     // Async overlap: one lane group per species, so the evolve phase's
     // per-species summaries (fitness mean/extrema, member ranking) are
@@ -261,6 +248,18 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     }
     for (size_t i = 0; i < n; ++i)
         pop.genomes().at(keys[i]).fitness = outcome.fitness[i];
+}
+
+std::function<Action(size_t, const Observation &)>
+batchPolicy(BatchNetwork &batch, const EnvSpec &spec)
+{
+    // Distinct lanes touch disjoint value regions, so out-of-lockstep
+    // parallel rollout stays safe.
+    return [&batch, &spec](size_t lane, const Observation &obs) {
+        std::vector<double> out(batch.numOutputs());
+        batch.activateLane(lane, obs.data(), out.data());
+        return decodeAction(spec, out);
+    };
 }
 
 RunResult

@@ -165,6 +165,12 @@ inline const std::string env = "env";
 inline const std::string createNet = "createnet";
 } // namespace e3_phase
 
+class BatchNetwork;
+
+/** Lane i's policy: batch lane i, then decodeAction; keeps references. */
+std::function<Action(size_t lane, const Observation &obs)>
+batchPolicy(BatchNetwork &batch, const EnvSpec &spec);
+
 /** Closed-loop NEAT learning platform with a pluggable backend. */
 class E3Platform
 {

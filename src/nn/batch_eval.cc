@@ -189,9 +189,22 @@ Result<std::unique_ptr<BatchEvaluator>>
 BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
                         const NetworkCompileOptions &options)
 {
-    if (defs.empty())
-        return Status::error(
-            "batch compile needs at least one definition");
+    return build(defs.data(), defs.size(), defs.size(), options);
+}
+
+Result<std::unique_ptr<BatchEvaluator>>
+BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
+                                  const NetworkCompileOptions &options)
+{
+    return build(&def, 1, lanes, options);
+}
+
+Result<std::unique_ptr<BatchEvaluator>>
+BatchEvaluator::build(const NetworkDef *defs, size_t numDefs,
+                      size_t lanes, const NetworkCompileOptions &options)
+{
+    if (numDefs == 0 || lanes == 0)
+        return Status::error("batch compile needs at least one lane");
     if (options.recurrent || options.quantization) {
         return Status::error(
             "the SoA batch evaluator supports plain feed-forward "
@@ -200,10 +213,10 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
     }
 
     auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
-    eval->plan_.numInputs = defs.front().inputIds.size();
-    eval->plan_.numOutputs = defs.front().outputIds.size();
-
-    for (size_t i = 0; i < defs.size(); ++i) {
+    BatchPlan &plan = eval->plan_;
+    plan.numInputs = defs[0].inputIds.size();
+    plan.numOutputs = defs[0].outputIds.size();
+    for (size_t i = 0; i < numDefs; ++i) {
         const NetAnalysis analysis = analyzeNetwork(defs[i]);
         if (Status invariants = checkDefInvariants(defs[i], analysis);
             !invariants.ok()) {
@@ -212,113 +225,84 @@ BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
         }
         if (Status arity = checkLaneArity(
                 i, defs[i].inputIds.size(), defs[i].outputIds.size(),
-                eval->plan_.numInputs, eval->plan_.numOutputs);
+                plan.numInputs, plan.numOutputs);
             !arity.ok())
             return arity;
-        eval->appendLane(FeedForwardNetwork::create(defs[i], analysis));
+        if (Status fits = eval->appendLane(defs[i], analysis); !fits.ok())
+            return fits;
     }
-    eval->plan_.arenaSize = eval->plan_.lanes.back().valueBase +
-                            eval->plan_.lanes.back().slotCount;
-    eval->values_.assign(eval->plan_.arenaSize, 0.0);
-#ifndef NDEBUG
-    if (Status sound = checkPlanInvariants(eval->plan_); !sound.ok())
-        e3_panic("population batch plan failed its invariant check: ",
-                 sound.message());
-#endif
-    return eval;
-}
 
-Result<std::unique_ptr<BatchEvaluator>>
-BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
-                                  const NetworkCompileOptions &options)
-{
-    if (lanes == 0)
-        return Status::error("replicated batch needs at least one lane");
-    if (options.recurrent || options.quantization) {
-        return Status::error(
-            "the SoA batch evaluator supports plain feed-forward "
-            "networks; use the loop adapter for recurrent or "
-            "quantized evaluation");
-    }
-    const NetAnalysis analysis = analyzeNetwork(def);
-    if (Status invariants = checkDefInvariants(def, analysis);
-        !invariants.ok())
-        return Status::error("malformed NetworkDef: ",
-                             invariants.message());
-
-    auto eval = std::unique_ptr<BatchEvaluator>(new BatchEvaluator());
-    eval->plan_.numInputs = def.inputIds.size();
-    eval->plan_.numOutputs = def.outputIds.size();
-    eval->appendLane(FeedForwardNetwork::create(def, analysis));
-
-    // One shared program; each further lane is just a fresh region of
+    // Replicas share lane 0's program; each is just a fresh region of
     // the value arena (the output-slot table is lane-local, so it is
-    // shared too).
-    const BatchPlan::LaneProgram proto = eval->plan_.lanes.front();
-    for (size_t lane = 1; lane < lanes; ++lane) {
-        BatchPlan::LaneProgram p = proto;
-        p.valueBase = static_cast<uint32_t>(lane) * proto.slotCount;
-        eval->plan_.lanes.push_back(p);
+    // shared too). Bound the arena before allocating the lane table.
+    BatchPlan::LaneProgram replica = plan.lanes.front();
+    if (lanes > numDefs && lanes > UINT32_MAX / replica.slotCount)
+        return Status::error("a batch of ", lanes, " lanes needs more "
+                             "than ", UINT32_MAX, " value slots");
+    plan.lanes.reserve(lanes);
+    for (size_t lane = numDefs; lane < lanes; ++lane) {
+        replica.valueBase = static_cast<uint32_t>(plan.arenaSize);
+        plan.arenaSize += replica.slotCount;
+        plan.lanes.push_back(replica);
     }
-    eval->plan_.arenaSize = static_cast<size_t>(proto.slotCount) * lanes;
-    eval->values_.assign(eval->plan_.arenaSize, 0.0);
+    eval->values_.assign(plan.arenaSize, 0.0);
 #ifndef NDEBUG
-    if (Status sound = checkPlanInvariants(eval->plan_); !sound.ok())
-        e3_panic("replicated batch plan failed its invariant check: ",
+    if (Status sound = checkPlanInvariants(plan); !sound.ok())
+        e3_panic("batch plan failed its invariant check: ",
                  sound.message());
 #endif
     return eval;
 }
 
-void
-BatchEvaluator::appendLane(const FeedForwardNetwork &net)
+Status
+BatchEvaluator::appendLane(const NetworkDef &def, const NetAnalysis &a)
 {
+    const SlotMap slots = mapSlots(def, a, a.order);
+    if (plan_.arenaSize + slots.slotCount > UINT32_MAX)
+        return Status::error("lane ", plan_.lanes.size(), " needs more "
+                             "than ", UINT32_MAX, " value slots");
     BatchPlan::LaneProgram p;
     p.segBegin = static_cast<uint32_t>(plan_.segments.size());
-    p.valueBase = plan_.lanes.empty()
-                      ? 0
-                      : plan_.lanes.back().valueBase +
-                            plan_.lanes.back().slotCount;
-    p.slotCount = static_cast<uint32_t>(net.valueSlots());
+    p.valueBase = static_cast<uint32_t>(plan_.arenaSize);
+    p.slotCount = slots.slotCount;
+    plan_.arenaSize += slots.slotCount;
     p.outBase = static_cast<uint32_t>(plan_.outputSlots.size());
 
-    // Flatten in exactly FeedForwardNetwork's execution order — layer
-    // by layer, node by node, link by link — so the fold order (and
-    // thus every intermediate rounding) is preserved bit-for-bit.
     // Segments merge across layer boundaries when (act, agg) carries
     // over: the kernels execute in-segment nodes strictly in order, so
     // a later-layer node reading an earlier node's destination slot is
     // fine, and a uniform-activation lane collapses to one dispatch.
-    for (const auto &layer : net.layers()) {
-        for (const auto &node : layer) {
-            const bool openNewSegment =
-                plan_.segments.size() == p.segBegin ||
-                plan_.segments.back().act != node.act ||
-                plan_.segments.back().agg != node.agg;
-            if (openNewSegment) {
-                plan_.segments.push_back(
-                    {static_cast<uint32_t>(plan_.nodes.size()),
-                     static_cast<uint32_t>(plan_.nodes.size()),
-                     node.act, node.agg});
-            }
-            BatchPlan::NodeRun run;
-            run.dstSlot = node.slot;
-            run.opBegin = static_cast<uint32_t>(plan_.ops.size());
-            for (const auto &link : node.links)
-                plan_.ops.push_back({link.srcSlot, link.weight});
-            run.opEnd = static_cast<uint32_t>(plan_.ops.size());
-            run.bias = node.bias;
-            plan_.nodes.push_back(run);
-            plan_.segments.back().nodeEnd =
-                static_cast<uint32_t>(plan_.nodes.size());
+    for (uint32_t d : a.order) {
+        const NetworkDef::Node &decl = *slots.nodeOf[d];
+        if (plan_.segments.size() == p.segBegin ||
+            plan_.segments.back().act != decl.act ||
+            plan_.segments.back().agg != decl.agg) {
+            plan_.segments.push_back(
+                {static_cast<uint32_t>(plan_.nodes.size()),
+                 static_cast<uint32_t>(plan_.nodes.size()), decl.act,
+                 decl.agg});
         }
+        BatchPlan::NodeRun run;
+        run.dstSlot = slots.slotOf[d];
+        run.opBegin = static_cast<uint32_t>(plan_.ops.size());
+        for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
+             ++i) {
+            const uint32_t k = a.ingress[i];
+            plan_.ops.push_back(
+                {slots.slotOf[a.connSrc[k]], def.conns[k].weight});
+        }
+        run.opEnd = static_cast<uint32_t>(plan_.ops.size());
+        run.bias = decl.bias;
+        plan_.nodes.push_back(run);
+        plan_.segments.back().nodeEnd =
+            static_cast<uint32_t>(plan_.nodes.size());
     }
     p.segEnd = static_cast<uint32_t>(plan_.segments.size());
-
-    for (uint32_t slot : net.outputSlots())
-        plan_.outputSlots.push_back(slot);
-
+    plan_.outputSlots.insert(plan_.outputSlots.end(),
+                             slots.outputSlots.begin(),
+                             slots.outputSlots.end());
     plan_.lanes.push_back(p);
+    return Status();
 }
 
 E3_HOT void
@@ -463,37 +447,56 @@ NetworkBatchAdapter::reset()
         net->reset();
 }
 
+namespace {
+
+/** The one engine choice: Auto runs plain feed-forward on the SoA engine. */
+bool
+usesFlatEngine(const NetworkCompileOptions &options, BatchEngine engine)
+{
+    return engine == BatchEngine::Auto && !options.recurrent &&
+           !options.quantization;
+}
+
+/** Upcast a compiled engine, or pass its error through. */
+template <typename Engine>
+Result<std::unique_ptr<BatchNetwork>>
+asBatchNetwork(Result<std::unique_ptr<Engine>> engine)
+{
+    if (!engine.ok())
+        return engine.status();
+    return std::unique_ptr<BatchNetwork>(std::move(engine).value());
+}
+
+/**
+ * The adapter over one compileNetwork() per lane; lane i runs
+ * defs[i % numDefs], as in BatchEvaluator::build().
+ */
+Result<std::unique_ptr<BatchNetwork>>
+adaptLanes(const NetworkDef *defs, size_t numDefs, size_t lanes,
+           const NetworkCompileOptions &options)
+{
+    std::vector<std::unique_ptr<Network>> nets;
+    nets.reserve(lanes);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+        auto net = compileNetwork(defs[lane % numDefs], options);
+        if (!net.ok())
+            return Status::error("genome ", lane % numDefs, ": ",
+                                 net.message());
+        nets.push_back(std::move(net.value()));
+    }
+    return asBatchNetwork(NetworkBatchAdapter::create(std::move(nets)));
+}
+
+} // namespace
+
 Result<std::unique_ptr<BatchNetwork>>
 compilePopulation(const std::vector<NetworkDef> &defs,
                   const NetworkCompileOptions &options,
                   BatchEngine engine)
 {
-    const bool soaCapable = !options.recurrent && !options.quantization;
-    if (engine == BatchEngine::Soa && !soaCapable) {
-        return Status::error(
-            "the SoA engine requires plain feed-forward compilation "
-            "options");
-    }
-    if (engine != BatchEngine::PerGenome && soaCapable) {
-        auto soa = BatchEvaluator::compile(defs, options);
-        if (!soa.ok())
-            return soa.status();
-        return std::unique_ptr<BatchNetwork>(std::move(soa.value()));
-    }
-
-    std::vector<std::unique_ptr<Network>> nets;
-    nets.reserve(defs.size());
-    for (const auto &def : defs) {
-        auto net = compileNetwork(def, options);
-        if (!net.ok())
-            return Status::error("genome ", nets.size(), ": ",
-                                 net.message());
-        nets.push_back(std::move(net.value()));
-    }
-    auto adapter = NetworkBatchAdapter::create(std::move(nets));
-    if (!adapter.ok())
-        return adapter.status();
-    return std::unique_ptr<BatchNetwork>(std::move(adapter.value()));
+    if (usesFlatEngine(options, engine))
+        return asBatchNetwork(BatchEvaluator::compile(defs, options));
+    return adaptLanes(defs.data(), defs.size(), defs.size(), options);
 }
 
 Result<std::unique_ptr<BatchNetwork>>
@@ -501,31 +504,10 @@ compileReplicated(const NetworkDef &def, size_t lanes,
                   const NetworkCompileOptions &options,
                   BatchEngine engine)
 {
-    const bool soaCapable = !options.recurrent && !options.quantization;
-    if (engine == BatchEngine::Soa && !soaCapable) {
-        return Status::error(
-            "the SoA engine requires plain feed-forward compilation "
-            "options");
-    }
-    if (engine != BatchEngine::PerGenome && soaCapable) {
-        auto soa = BatchEvaluator::compileReplicated(def, lanes, options);
-        if (!soa.ok())
-            return soa.status();
-        return std::unique_ptr<BatchNetwork>(std::move(soa.value()));
-    }
-
-    std::vector<std::unique_ptr<Network>> nets;
-    nets.reserve(lanes);
-    for (size_t lane = 0; lane < lanes; ++lane) {
-        auto net = compileNetwork(def, options);
-        if (!net.ok())
-            return net.status();
-        nets.push_back(std::move(net.value()));
-    }
-    auto adapter = NetworkBatchAdapter::create(std::move(nets));
-    if (!adapter.ok())
-        return adapter.status();
-    return std::unique_ptr<BatchNetwork>(std::move(adapter.value()));
+    if (usesFlatEngine(options, engine))
+        return asBatchNetwork(
+            BatchEvaluator::compileReplicated(def, lanes, options));
+    return adaptLanes(&def, 1, lanes, options);
 }
 
 } // namespace e3

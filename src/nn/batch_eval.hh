@@ -15,14 +15,15 @@
  * arena with a disjoint region per lane, which is what makes
  * activateLane() safe to call concurrently for distinct lanes.
  *
- * Fold-order guarantee: per genome, nodes execute in exactly the
- * order FeedForwardNetwork compiles them (layer order, then node
- * order within the layer) and each node folds its ingress ops in
- * exactly FeedForwardNetwork's link order, seeding the accumulator
- * from the first element like Aggregator does. Results are therefore
- * bit-identical to per-genome FeedForwardNetwork::activate() at any
- * batch size and thread count, keeping RngAudit digests and
- * src/verify interval bounds valid unchanged.
+ * Each lane is emitted straight from its def's NetAnalysis, in the
+ * order FeedForwardNetwork also executes: nodes in analysis order
+ * (layer by layer, ids ascending within a layer), each folding its
+ * ingress ops in def.conns order and seeding the accumulator from the
+ * first element like Aggregator does, with slots numbered by the
+ * shared mapSlots(). Results are therefore bit-identical to
+ * per-genome FeedForwardNetwork::activate() — the independent
+ * single-network reference — at any batch size and thread count,
+ * keeping RngAudit digests and src/verify interval bounds valid.
  */
 
 #ifndef E3_NN_BATCH_EVAL_HH
@@ -74,8 +75,8 @@ class BatchNetwork
     /**
      * The compiled SoA program when this implementation executes one
      * — the verify batch-plan pass (E3V301–E3V306) hooks in here.
-     * nullptr for adapter-backed implementations, which have no flat
-     * plan to certify.
+     * nullptr for the adapter (recurrent or quantized lanes), which
+     * has no flat plan to certify.
      */
     virtual const BatchPlan *plan() const { return nullptr; }
 };
@@ -211,8 +212,13 @@ class BatchEvaluator : public BatchNetwork
   private:
     BatchEvaluator() = default;
 
-    /** Flatten one compiled network into the SoA arrays as a lane. */
-    void appendLane(const FeedForwardNetwork &net);
+    /** The one compile path: lane i runs defs[i % numDefs]. */
+    static Result<std::unique_ptr<BatchEvaluator>>
+    build(const NetworkDef *defs, size_t numDefs, size_t lanes,
+          const NetworkCompileOptions &options);
+
+    /** Emit a def's program as the next lane; fails past 2^32 slots. */
+    Status appendLane(const NetworkDef &def, const NetAnalysis &analysis);
 
     /**
      * The compiled program. Op is kept as an {slot, weight} pair (one
@@ -250,9 +256,6 @@ class NetworkBatchAdapter : public BatchNetwork
     size_t numInputs() const override { return numInputs_; }
     size_t numOutputs() const override { return numOutputs_; }
 
-    /** The lane's underlying network (tests, replay introspection). */
-    Network &lane(size_t i) { return *nets_[i]; }
-
   private:
     explicit NetworkBatchAdapter(
         std::vector<std::unique_ptr<Network>> nets);
@@ -265,16 +268,15 @@ class NetworkBatchAdapter : public BatchNetwork
 /** Engine selection for the population-compile entry points. */
 enum class BatchEngine
 {
-    Auto,      ///< SoA when the options allow it, adapter otherwise
-    Soa,       ///< force the SoA engine (error on unsupported options)
-    PerGenome, ///< force the loop-over-Network adapter
+    Auto,      ///< SoA for plain feed-forward options, adapter otherwise
+    PerGenome, ///< force the loop-over-Network adapter (A/B runs)
 };
 
 /**
  * The one population-compile entry point: turn a population of
- * definitions into a BatchNetwork. Both the platform's evaluation
- * path and serve go through here, so the batch engine can intercept
- * whole populations regardless of caller.
+ * definitions into a BatchNetwork. The platform (under every backend)
+ * and serve go through here; with Auto, plain feed-forward options
+ * always run on BatchEvaluator.
  */
 Result<std::unique_ptr<BatchNetwork>>
 compilePopulation(const std::vector<NetworkDef> &defs,

@@ -26,47 +26,56 @@ FeedForwardNetwork::create(const NetworkDef &def)
     return create(def, analyzeNetwork(def));
 }
 
-CompiledNodes
-compileNodes(const NetworkDef &def, const NetAnalysis &a,
-             const std::vector<uint32_t> &order)
+SlotMap
+mapSlots(const NetworkDef &def, const NetAnalysis &a,
+         const std::vector<uint32_t> &order)
 {
     e3_assert(!def.inputIds.empty(), "network needs at least one input");
     e3_assert(!def.outputIds.empty(),
               "network needs at least one output");
-    std::vector<const NetworkDef::Node *> nodeOf(a.ids.size(), nullptr);
+    SlotMap m;
+    m.nodeOf.assign(a.ids.size(), nullptr);
     for (const auto &n : def.nodes) {
-        const NetworkDef::Node *&decl = nodeOf[a.indexOf(n.id)];
+        const NetworkDef::Node *&decl = m.nodeOf[a.indexOf(n.id)];
         e3_assert(!decl, "duplicate node id ", n.id);
         decl = &n;
     }
     for (int id : def.outputIds)
-        e3_assert(nodeOf[a.indexOf(id)], "output node ", id, " missing");
+        e3_assert(m.nodeOf[a.indexOf(id)], "output node ", id,
+                  " missing");
 
-    // Slots: inputs first (a repeated input id keeps its last slot).
-    std::vector<uint32_t> slotOf(a.ids.size(), 0);
+    m.slotOf.assign(a.ids.size(), 0);
     for (size_t i = 0; i < def.inputIds.size(); ++i)
-        slotOf[a.indexOf(def.inputIds[i])] = static_cast<uint32_t>(i);
-    CompiledNodes out;
-    out.slotCount = static_cast<uint32_t>(def.inputIds.size());
-    for (uint32_t d : order)
-        slotOf[d] = out.slotCount++;
+        m.slotOf[a.indexOf(def.inputIds[i])] = static_cast<uint32_t>(i);
+    m.slotCount = static_cast<uint32_t>(def.inputIds.size());
+    for (uint32_t d : order) {
+        e3_assert(m.nodeOf[d], "connection references unknown node ",
+                  a.ids[d]);
+        m.slotOf[d] = m.slotCount++;
+    }
+    for (int id : def.outputIds)
+        m.outputSlots.push_back(m.slotOf[a.indexOf(id)]);
+    return m;
+}
 
+CompiledNodes
+compileNodes(const NetworkDef &def, const NetAnalysis &a,
+             const std::vector<uint32_t> &order)
+{
+    CompiledNodes out{mapSlots(def, a, order), {}};
     out.nodes.reserve(order.size());
     for (uint32_t d : order) {
-        const NetworkDef::Node *src = nodeOf[d];
-        e3_assert(src, "connection references unknown node ", a.ids[d]);
+        const NetworkDef::Node *src = out.nodeOf[d];
         EvalNode &node = out.nodes.emplace_back(EvalNode{
-            a.ids[d], slotOf[d], src->bias, src->act, src->agg, {}});
+            a.ids[d], out.slotOf[d], src->bias, src->act, src->agg, {}});
         node.links.reserve(a.inDegree(d));
         for (uint32_t i = a.ingressBegin[d]; i < a.ingressBegin[d + 1];
              ++i) {
             const uint32_t k = a.ingress[i];
             node.links.push_back(
-                {slotOf[a.connSrc[k]], def.conns[k].weight});
+                {out.slotOf[a.connSrc[k]], def.conns[k].weight});
         }
     }
-    for (int id : def.outputIds)
-        out.outputSlots.push_back(slotOf[a.indexOf(id)]);
     return out;
 }
 

@@ -76,19 +76,34 @@ struct EvalNode
     std::vector<EvalLink> links; ///< ingress connections
 };
 
-/** A def's nodes in one execution order (slots: inputs, then nodes). */
-struct CompiledNodes
+/**
+ * Value slots of a def run in one node order: inputs first, then each
+ * node of the order. Both evaluators and the batch engine number
+ * slots through mapSlots(), so they agree slot for slot.
+ */
+struct SlotMap
 {
-    std::vector<EvalNode> nodes;
-    std::vector<uint32_t> outputSlots; ///< in outputIds order
+    std::vector<const NetworkDef::Node *> nodeOf; ///< per d: declaration
+    std::vector<uint32_t> slotOf;                 ///< per d: value slot
+    std::vector<uint32_t> outputSlots;            ///< in outputIds order
     uint32_t slotCount = 0;
 };
 
 /**
- * Compile the nodes @p order lists (dense indices of @p analysis) with
- * links in def.conns order, as both evaluators do. Panics on an empty
- * interface or a repeated or undeclared node id.
+ * Number the slots for the nodes @p order lists (dense indices of
+ * @p analysis). Panics on an empty interface or a repeated, missing
+ * or undeclared node id.
  */
+SlotMap mapSlots(const NetworkDef &def, const NetAnalysis &analysis,
+                 const std::vector<uint32_t> &order);
+
+/** A def's nodes in one execution order, with their slots. */
+struct CompiledNodes : SlotMap
+{
+    std::vector<EvalNode> nodes;
+};
+
+/** mapSlots() plus each node's links in def.conns order. */
 CompiledNodes compileNodes(const NetworkDef &def,
                            const NetAnalysis &analysis,
                            const std::vector<uint32_t> &order);

@@ -10,7 +10,9 @@
  *    evolutions.
  * Compared: required sets, layers, acyclicity, NetStats (density bit
  * for bit), invariant-check verdicts and messages, compiled slots and
- * links, bitwise outputs, the population BatchPlan, and INAX costs.
+ * links, bitwise outputs, the population and replicated BatchPlans,
+ * and INAX costs. The evolved workloads themselves are pinned by
+ * digest.
  */
 
 #include <gtest/gtest.h>
@@ -24,15 +26,18 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "e3/experiment.hh"
 #include "e3/platform.hh"
 #include "fixed_point_reference.hh"
 #include "inax/dma.hh"
 #include "inax/pu.hh"
+#include "neat/serialize.hh"
 #include "nn/batch_eval.hh"
 #include "nn/compile.hh"
 #include "nn/layering.hh"
 #include "nn/net_stats.hh"
 #include "nn/recurrent.hh"
+#include "persist/checkpoint.hh"
 
 namespace e3 {
 namespace {
@@ -356,7 +361,37 @@ expectSamePlan(const BatchPlan &got, const BatchPlan &want)
     }
 }
 
-/** Population plan of the compilable defs with the first's arity. */
+/**
+ * One def replicated over three lanes: lane 0 is the def's reference
+ * plan, and each further lane repeats it in its own arena region.
+ */
+void
+checkReplicatedPlan(const NetworkDef &def)
+{
+    constexpr uint32_t kLanes = 3;
+    auto compiled = BatchEvaluator::compileReplicated(def, kLanes);
+    ASSERT_TRUE(compiled.ok()) << compiled.message();
+    BatchPlan plan = *(*compiled)->plan();
+    EXPECT_TRUE(checkPlanInvariants(plan).ok());
+    ASSERT_EQ(plan.lanes.size(), kLanes);
+    const BatchPlan::LaneProgram &lane0 = plan.lanes[0];
+    EXPECT_EQ(plan.arenaSize, kLanes * lane0.slotCount);
+    for (uint32_t i = 1; i < kLanes; ++i) {
+        const BatchPlan::LaneProgram &lane = plan.lanes[i];
+        EXPECT_EQ(lane.segBegin, lane0.segBegin);
+        EXPECT_EQ(lane.segEnd, lane0.segEnd);
+        EXPECT_EQ(lane.slotCount, lane0.slotCount);
+        EXPECT_EQ(lane.outBase, lane0.outBase);
+    }
+    plan.lanes.resize(1);
+    plan.arenaSize = lane0.slotCount;
+    expectSamePlan(plan, reference::compilePlan({def}));
+}
+
+/**
+ * Population plan of the compilable defs with the first's arity, and
+ * each def's replicated plan.
+ */
 void
 checkPlan(const std::vector<NetworkDef> &defs)
 {
@@ -366,6 +401,11 @@ checkPlan(const std::vector<NetworkDef> &defs)
     const BatchPlan *plan = (*compiled)->plan();
     ASSERT_NE(plan, nullptr);
     expectSamePlan(*plan, reference::compilePlan(defs));
+    for (const NetworkDef &def : defs) {
+        checkReplicatedPlan(def);
+        if (::testing::Test::HasFailure())
+            return;
+    }
 }
 
 TEST(AnalysisOracle, RandomDefsMatchTheFixedPointReference)
@@ -424,8 +464,6 @@ class CapturingBackend : public EvalBackend
 
     void attributeEnergy(double, EnergyBreakdownInput &) const override {}
 
-    bool batchedFunctionalInference() const override { return true; }
-
   private:
     std::vector<NetworkDef> *defs_;
     std::vector<NetStats> *stats_;
@@ -459,6 +497,51 @@ checkEvolvedDefs(const std::string &env)
     }
     EXPECT_TRUE(grew) << "no evolved def gained a hidden node";
     checkPlan(defs);
+}
+
+/** FNV-1a fold of every field of every def, doubles by their bits. */
+uint64_t
+defsDigest(const std::vector<NetworkDef> &defs)
+{
+    RngAudit digest;
+    auto mixId = [&](int id) {
+        digest.mix(static_cast<uint64_t>(static_cast<int64_t>(id)));
+    };
+    for (const NetworkDef &def : defs) {
+        digest.mix(def.inputIds.size());
+        for (int id : def.inputIds)
+            mixId(id);
+        digest.mix(def.outputIds.size());
+        for (int id : def.outputIds)
+            mixId(id);
+        digest.mix(def.nodes.size());
+        for (const NetworkDef::Node &node : def.nodes) {
+            mixId(node.id);
+            digest.mix(bits(node.bias));
+            mixId(static_cast<int>(node.act));
+            mixId(static_cast<int>(node.agg));
+        }
+        digest.mix(def.conns.size());
+        for (const NetworkDef::Conn &conn : def.conns) {
+            mixId(conn.from);
+            mixId(conn.to);
+            digest.mix(bits(conn.weight));
+        }
+    }
+    return digest.hash;
+}
+
+// The workload helpers' evolution must not drift by a bit: these are
+// the digests of the lockstep, one-FeedForwardNetwork-per-genome
+// rollout the helpers used before they ran on ParallelEval and the
+// batch engine.
+TEST(AnalysisOracle, EvolvedWorkloadsArePinned)
+{
+    EXPECT_EQ(defsDigest(evolvedPopulation("lunar_lander", 8, 60, 11)),
+              0xe278d387542caec0ULL);
+    const Genome champion = evolvedChampion("lunar_lander", 10, 60, 7);
+    EXPECT_EQ(persist::fingerprint(genomeToString(champion)),
+              0xc07de75b47c9bfd7ULL);
 }
 
 TEST(AnalysisOracle, LunarLanderEvolutionDefsMatch)

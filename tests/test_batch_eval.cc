@@ -11,6 +11,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -276,7 +277,7 @@ TEST(BatchEval, CompilePopulationEnginesAgree)
         referenceOutputs(defs, inputs);
 
     for (const BatchEngine engine :
-         {BatchEngine::Auto, BatchEngine::Soa, BatchEngine::PerGenome}) {
+         {BatchEngine::Auto, BatchEngine::PerGenome}) {
         Result<std::unique_ptr<BatchNetwork>> batch =
             compilePopulation(defs, {}, engine);
         ASSERT_TRUE(batch.ok()) << batch.message();
@@ -307,10 +308,8 @@ TEST(BatchEval, AutoFallsBackToAdapterForQuantization)
         compilePopulation(defs, options, BatchEngine::Auto);
     ASSERT_TRUE(batch.ok()) << batch.message();
 
-    // Forcing SoA on the same options must be a clean error.
-    Result<std::unique_ptr<BatchNetwork>> forced =
-        compilePopulation(defs, options, BatchEngine::Soa);
-    EXPECT_FALSE(forced.ok());
+    // The SoA engine itself must reject the same options cleanly.
+    EXPECT_FALSE(BatchEvaluator::compile(defs, options).ok());
 
     Rng rng(5);
     for (size_t i = 0; i < 3; ++i) {
@@ -379,6 +378,23 @@ TEST(BatchEval, CompileErrors)
     // ...but Auto routes them through the adapter.
     EXPECT_TRUE(
         compileReplicated(NetworkDef::empty(2, 1), 2, recur).ok());
+}
+
+TEST(BatchEval, OversizedBatchIsAnErrorNotAnAllocation)
+{
+    // Three value slots per lane: 2^32/3 + 1 lanes need one slot more
+    // than a 32-bit arena offset addresses. The compile must refuse
+    // before allocating anything lane-sized; SIZE_MAX is what a
+    // negative count cast to size_t arrives as.
+    const NetworkDef def = NetworkDef::empty(2, 1);
+    const size_t lanes = (size_t{1} << 32) / 3 + 1;
+    Result<std::unique_ptr<BatchEvaluator>> direct =
+        BatchEvaluator::compileReplicated(def, lanes);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_NE(direct.message().find("slot"), std::string::npos)
+        << direct.message();
+    EXPECT_FALSE(compileReplicated(def, lanes).ok());
+    EXPECT_FALSE(compileReplicated(def, SIZE_MAX).ok());
 }
 
 TEST(BatchEval, ResetIsIdempotentForFeedForward)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "e3/cpu_backend.hh"
+#include "e3/inax_backend.hh"
 #include "e3/platform.hh"
 #include "mini_json.hh"
 #include "obs/trace.hh"
@@ -409,10 +410,11 @@ TEST(Trace, EveryGenerationSpanHasACompileChild)
     cfg.envName = "lunar_lander";
     cfg.populationSize = 30;
     cfg.maxGenerations = 4;
-    for (bool batched : {false, true}) {
-        std::unique_ptr<EvalBackend> backend =
-            batched ? std::make_unique<CpuBatchBackend>()
-                    : std::make_unique<CpuBackend>();
+    std::vector<std::unique_ptr<EvalBackend>> backends;
+    backends.push_back(std::make_unique<CpuBackend>());
+    backends.push_back(std::make_unique<InaxBackend>(
+        InaxConfig::paperDefault(envSpec(cfg.envName).numOutputs)));
+    for (std::unique_ptr<EvalBackend> &backend : backends) {
         E3Platform platform(cfg, std::move(backend));
         EXPECT_EQ(platform.run().generations, cfg.maxGenerations);
     }

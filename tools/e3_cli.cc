@@ -44,9 +44,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
@@ -102,6 +104,7 @@ class Args
         return fallback;
     }
 
+    /** fatal() unless the whole value is a decimal long. */
     long
     getInt(const std::string &key, long fallback) const
     {
@@ -109,7 +112,23 @@ class Args
         if (it == values_.end())
             return fallback;
         used_.insert(it->first);
-        return std::stol(it->second);
+        const char *text = it->second.c_str();
+        char *end = nullptr;
+        errno = 0;
+        const long value = std::strtol(text, &end, 10);
+        if (end == text || *end != '\0' || errno == ERANGE)
+            e3_fatal("--", key, " expects an integer, got '", text, "'");
+        return value;
+    }
+
+    /** A count or size: getInt(), fatal() when negative. */
+    size_t
+    getSize(const std::string &key, size_t fallback) const
+    {
+        const long value = getInt(key, static_cast<long>(fallback));
+        if (value < 0)
+            e3_fatal("--", key, " must not be negative, got ", value);
+        return static_cast<size_t>(value);
     }
 
     /** fatal() on any unconsumed option (catches typos). */
@@ -177,23 +196,18 @@ cmdRun(const Args &args)
 
     ExperimentOptions options;
     options.seed = static_cast<uint64_t>(args.getInt("seed", 1));
-    options.populationSize =
-        static_cast<size_t>(args.getInt("pop", 200));
-    options.episodesPerEval =
-        static_cast<size_t>(args.getInt("episodes", 3));
+    options.populationSize = args.getSize("pop", 200);
+    options.episodesPerEval = args.getSize("episodes", 3);
     options.maxGenerations = static_cast<int>(
         args.getInt("generations", suiteGenerationBudget(envName)));
-    options.threads =
-        static_cast<size_t>(args.getInt("threads", 1));
+    options.threads = args.getSize("threads", 1);
     options.asyncOverlap = args.getInt("async", 0) != 0;
     options.verifyGenomes = args.getInt("verify", 0) != 0;
 
     const EnvSpec &spec = requireEnvSpec(envName);
     InaxConfig inaxCfg = InaxConfig::paperDefault(spec.numOutputs);
-    inaxCfg.numPUs =
-        static_cast<size_t>(args.getInt("pu", inaxCfg.numPUs));
-    inaxCfg.numPEs =
-        static_cast<size_t>(args.getInt("pe", inaxCfg.numPEs));
+    inaxCfg.numPUs = args.getSize("pu", inaxCfg.numPUs);
+    inaxCfg.numPEs = args.getSize("pe", inaxCfg.numPEs);
     if (Status valid = inaxCfg.validate(); !valid.ok())
         e3_fatal(valid.message());
     options.inaxConfig = inaxCfg;
@@ -360,8 +374,7 @@ cmdReplay(const Args &args)
 {
     const std::string envName = args.get("env", "cartpole");
     const std::string genomePath = args.get("genome", "");
-    const auto episodes =
-        static_cast<size_t>(args.getInt("episodes", 3));
+    const auto episodes = args.getSize("episodes", 3);
     const auto seed = static_cast<uint64_t>(args.getInt("seed", 1));
     args.checkAllUsed();
     if (genomePath.empty())
@@ -535,12 +548,10 @@ cmdVerify(const Args &args)
 
     const EnvSpec &spec = requireEnvSpec(envName);
     InaxConfig inaxCfg = InaxConfig::paperDefault(spec.numOutputs);
-    inaxCfg.numPUs =
-        static_cast<size_t>(args.getInt("pu", inaxCfg.numPUs));
-    inaxCfg.numPEs =
-        static_cast<size_t>(args.getInt("pe", inaxCfg.numPEs));
-    inaxCfg.maxSupportedNodes = static_cast<size_t>(
-        args.getInt("max-nodes", inaxCfg.maxSupportedNodes));
+    inaxCfg.numPUs = args.getSize("pu", inaxCfg.numPUs);
+    inaxCfg.numPEs = args.getSize("pe", inaxCfg.numPEs);
+    inaxCfg.maxSupportedNodes =
+        args.getSize("max-nodes", inaxCfg.maxSupportedNodes);
     if (Status valid = inaxCfg.validate(); !valid.ok())
         e3_fatal(valid.message());
     args.checkAllUsed();
@@ -716,15 +727,12 @@ cmdServe(const Args &args)
 {
     serve::ServeOptions options;
     options.sources = parseChampionSources(args);
-    options.cacheCapacity =
-        static_cast<size_t>(args.getInt("cache", 8));
-    options.maxBatchSize =
-        static_cast<size_t>(args.getInt("batch", 16));
+    options.cacheCapacity = args.getSize("cache", 8);
+    options.maxBatchSize = args.getSize("batch", 16);
     options.maxBatchDelay =
         std::chrono::microseconds(args.getInt("batch-delay-us", 200));
-    options.maxQueueDepth =
-        static_cast<size_t>(args.getInt("queue", 256));
-    options.threads = static_cast<size_t>(args.getInt("threads", 1));
+    options.maxQueueDepth = args.getSize("queue", 256);
+    options.threads = args.getSize("threads", 1);
     options.strictVerify = args.getInt("strict", 0) != 0;
 
     const long port = args.getInt("port", 0);
@@ -844,7 +852,7 @@ usage()
     std::printf(
         "usage:\n"
         "  e3_cli list-envs\n"
-        "  e3_cli run --env <name> --backend cpu|cpu-batch|gpu|inax\n"
+        "  e3_cli run --env <name> --backend cpu|gpu|inax\n"
         "         [--pu N] [--pe N] [--pop N] [--generations N]\n"
         "         [--episodes N] [--seed N] [--csv file]\n"
         "         [--threads N] [--async 0|1] [--audit file]\n"
