@@ -135,7 +135,6 @@ runExperiment(const std::string &envName,
     cfg.maxGenerations = options.maxGenerations;
     cfg.modeledSecondsBudget = options.modeledSecondsBudget;
     cfg.threads = options.threads;
-    cfg.asyncOverlap = options.asyncOverlap;
     cfg.checkpointDir = options.checkpointDir;
     cfg.checkpointEvery = options.checkpointEvery;
     cfg.checkpointKeep = options.checkpointKeep;

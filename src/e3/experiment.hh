@@ -93,8 +93,6 @@ struct ExperimentOptions
      */
     size_t threads = 1;
 
-    /** Async evolve/evaluate overlap (PlatformConfig::asyncOverlap). */
-    bool asyncOverlap = false;
     /** INAX config; defaults to the paper's heuristic (PE=#out, PU=50). */
     std::optional<InaxConfig> inaxConfig;
 

@@ -20,16 +20,15 @@ runtimeConfigOf(const PlatformConfig &cfg)
 {
     runtime::RuntimeConfig rt;
     rt.threads = std::max<size_t>(cfg.threads, 1);
-    rt.asyncOverlap = cfg.asyncOverlap;
     return rt;
 }
 
 /**
  * Canonical string hashed into the checkpoint fingerprint. Only the
- * knobs that shape functional evolution belong here: threads, async
- * overlap, generation caps and time budgets are deliberately excluded
- * so a run may be resumed with more generations or a different worker
- * count and still replay bit-identically.
+ * knobs that shape functional evolution belong here: threads,
+ * generation caps and time budgets are deliberately excluded so a run
+ * may be resumed with more generations or a different worker count
+ * and still replay bit-identically.
  */
 std::string
 canonicalConfig(const PlatformConfig &cfg)
@@ -106,8 +105,7 @@ E3Platform::E3Platform(const PlatformConfig &cfg,
 
 void
 E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
-                               int generation,
-                               std::map<int, SpeciesEvalSummary> &summaries)
+                               int generation)
 {
     const size_t n = pop.genomes().size();
 
@@ -203,38 +201,6 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
              (static_cast<uint64_t>(generation) * 31 + e + 1)));
     }
     plan.act = batchPolicy(*batch, spec_);
-
-    // Async overlap: one lane group per species, so the evolve phase's
-    // per-species summaries (fitness mean/extrema, member ranking) are
-    // computed the moment that species' lanes finish — while the rest
-    // of the population is still rolling out.
-    summaries.clear();
-    std::map<int, size_t> laneOf;
-    if (cfg_.asyncOverlap) {
-        for (size_t i = 0; i < n; ++i)
-            laneOf.emplace(keys[i], i);
-        for (const auto &[sid, sp] : pop.speciesSet().species()) {
-            runtime::EvalPlan::Group group;
-            group.id = sid;
-            group.lanes.reserve(sp.members.size());
-            for (int key : sp.members)
-                group.lanes.push_back(laneOf.at(key));
-            plan.groups.push_back(std::move(group));
-            // Slots preallocated here; group callbacks fill them
-            // concurrently without mutating the map's structure.
-            summaries.emplace(sid, SpeciesEvalSummary{});
-        }
-        plan.onGroupDone =
-            [&](const runtime::EvalPlan::Group &group,
-                const std::vector<double> &laneFitness) {
-                const auto &members =
-                    pop.speciesSet().species().at(group.id).members;
-                summaries.at(group.id) = Reproduction::summarizeSpecies(
-                    members, [&](int key) {
-                        return laneFitness[laneOf.at(key)];
-                    });
-            };
-    }
 
     runtime::EvalOutcome outcome;
     {
@@ -408,8 +374,7 @@ E3Platform::run()
     for (int gen = startGen; gen < cfg_.maxGenerations; ++gen) {
         obs::TraceSpan genSpan("generation");
         GenerationTrace trace;
-        std::map<int, SpeciesEvalSummary> summaries;
-        evaluateFunctional(pop, trace, gen, summaries);
+        evaluateFunctional(pop, trace, gen);
         // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
         trace.validate();
 
@@ -471,7 +436,7 @@ E3Platform::run()
             host_.evolveSeconds(neatCfg_.populationSize));
         {
             obs::TraceSpan span("evolve");
-            pop.advance(summaries.empty() ? nullptr : &summaries);
+            pop.advance();
         }
         if (checkpointing && cfg_.checkpointEvery > 0 &&
             (gen + 1) % cfg_.checkpointEvery == 0) {

@@ -79,13 +79,12 @@ Population::solved() const
 }
 
 void
-Population::advance(const std::map<int, SpeciesEvalSummary> *summaries)
+Population::advance()
 {
     {
         obs::TraceSpan span("reproduce");
         genomes_ = reproduction_.reproduce(cfg_, species_, genomes_,
-                                           generation_, innovation_,
-                                           summaries);
+                                           generation_, innovation_);
     }
     ++generation_;
     {

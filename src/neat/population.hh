@@ -96,13 +96,8 @@ class Population
     /**
      * One "evolve" step: stagnation, reproduction, speciation.
      * @pre every genome has been evaluated
-     * @param summaries optional per-species evaluation summaries
-     *        (keyed by species id) precomputed while evaluation was
-     *        still draining — see SpeciesEvalSummary; results are
-     *        bit-identical with or without them
      */
-    void advance(const std::map<int, SpeciesEvalSummary> *summaries =
-                     nullptr);
+    void advance();
 
     /** Structural summary of the current generation (Fig. 2/4 data). */
     GenerationStats stats() const;

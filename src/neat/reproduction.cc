@@ -23,13 +23,23 @@ Reproduction::createNew(const NeatConfig &cfg, size_t n)
     return population;
 }
 
-SpeciesEvalSummary
-Reproduction::summarizeSpecies(
-    const std::vector<int> &members,
-    const std::function<double(int)> &fitnessOf)
+namespace {
+
+/** What reproduce() reads of one species' evaluation results. */
+struct SpeciesSummary
 {
-    e3_assert(!members.empty(), "cannot summarize an empty species");
-    SpeciesEvalSummary summary;
+    double meanFitness = 0.0;      ///< species fitness (member mean)
+    double minMemberFitness = 0.0; ///< lowest member fitness
+    double maxMemberFitness = 0.0; ///< highest member fitness
+    std::vector<int> rankedMembers; ///< member keys, best-first
+};
+
+SpeciesSummary
+summarizeSpecies(const std::vector<int> &members,
+                 const std::map<int, Genome> &population)
+{
+    auto fitnessOf = [&](int key) { return population.at(key).fitness; };
+    SpeciesSummary summary;
     double sum = 0.0;
     summary.minMemberFitness = std::numeric_limits<double>::infinity();
     summary.maxMemberFitness = -std::numeric_limits<double>::infinity();
@@ -48,32 +58,22 @@ Reproduction::summarizeSpecies(
     return summary;
 }
 
+} // namespace
+
 std::map<int, Genome>
 Reproduction::reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
                         const std::map<int, Genome> &population,
-                        int generation, InnovationTracker &innovation,
-                        const std::map<int, SpeciesEvalSummary> *summaries)
+                        int generation, InnovationTracker &innovation)
 {
     for (const auto &[key, genome] : population) {
         e3_assert(genome.evaluated(),
                   "genome ", key, " reproduced before evaluation");
     }
 
-    // Summaries may arrive precomputed (async evolve/evaluate overlap)
-    // or be computed here — the same function either way.
-    std::map<int, SpeciesEvalSummary> local;
-    if (!summaries) {
-        for (const auto &[sid, sp] : speciesSet.species()) {
-            local.emplace(sid, summarizeSpecies(
-                                   sp.members, [&](int key) {
-                                       return population.at(key).fitness;
-                                   }));
-        }
-        summaries = &local;
-    }
+    std::map<int, SpeciesSummary> summaries;
     for (const auto &[sid, sp] : speciesSet.species()) {
-        e3_assert(summaries->count(sid),
-                  "missing evaluation summary for species ", sid);
+        e3_assert(!sp.members.empty(), "species ", sid, " is empty");
+        summaries.emplace(sid, summarizeSpecies(sp.members, population));
     }
 
     // --- Stagnation (neat-python DefaultStagnation) ---
@@ -85,8 +85,7 @@ Reproduction::reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
     };
     std::vector<SpeciesInfo> infos;
     for (auto &[sid, sp] : speciesSet.species()) {
-        e3_assert(!sp.members.empty(), "species ", sid, " is empty");
-        const double mean = summaries->at(sid).meanFitness;
+        const double mean = summaries.at(sid).meanFitness;
 
         const auto prevBest = sp.bestHistoricalFitness();
         if (!prevBest || mean > *prevBest)
@@ -118,7 +117,7 @@ Reproduction::reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
     double minFit = std::numeric_limits<double>::infinity();
     double maxFit = -std::numeric_limits<double>::infinity();
     for (const auto &[sid, sp] : speciesSet.species()) {
-        const SpeciesEvalSummary &summary = summaries->at(sid);
+        const SpeciesSummary &summary = summaries.at(sid);
         minFit = std::min(minFit, summary.minMemberFitness);
         maxFit = std::max(maxFit, summary.maxMemberFitness);
     }
@@ -127,7 +126,7 @@ Reproduction::reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
     double adjustedSum = 0.0;
     for (auto &[sid, sp] : speciesSet.species()) {
         sp.adjustedFitness =
-            (summaries->at(sid).meanFitness - minFit) / span;
+            (summaries.at(sid).meanFitness - minFit) / span;
         adjustedSum += sp.adjustedFitness;
     }
 
@@ -200,7 +199,7 @@ Reproduction::reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
         size_t toSpawn = spawn.at(sid);
 
         // Members best-first (precomputed by summarizeSpecies).
-        std::vector<int> ranked = summaries->at(sid).rankedMembers;
+        std::vector<int> ranked = summaries.at(sid).rankedMembers;
 
         // Elites survive verbatim.
         for (size_t e = 0; e < cfg.elitism && e < ranked.size() &&

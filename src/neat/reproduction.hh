@@ -12,44 +12,16 @@
 
 #include <map>
 
-#include <functional>
-
 #include "neat/innovation.hh"
 #include "neat/species.hh"
 
 namespace e3 {
-
-/**
- * The fitness-dependent but RNG-free prefix of "evolve" for one
- * species: everything reproduce() needs that can be computed the
- * moment the species' own members finish evaluating — before the rest
- * of the population is done. The parallel runtime computes these on
- * workers while the evaluate tail is still running (the async
- * evolve/evaluate overlap); reproduce() computes identical summaries
- * inline when none are supplied, so both paths are bit-identical.
- */
-struct SpeciesEvalSummary
-{
-    double meanFitness = 0.0;      ///< species fitness (member mean)
-    double minMemberFitness = 0.0; ///< lowest member fitness
-    double maxMemberFitness = 0.0; ///< highest member fitness
-    std::vector<int> rankedMembers; ///< member keys, best-first
-};
 
 /** Creates generation zero and every subsequent generation. */
 class Reproduction
 {
   public:
     explicit Reproduction(Rng rng) : rng_(rng) {}
-
-    /**
-     * Summarize one species' evaluation results. Pure: depends only on
-     * the member list and their fitnesses, so it may run on any thread
-     * at any time after those members are final.
-     */
-    static SpeciesEvalSummary
-    summarizeSpecies(const std::vector<int> &members,
-                     const std::function<double(int)> &fitnessOf);
 
     /** Fresh random population of n genomes. */
     std::map<int, Genome> createNew(const NeatConfig &cfg, size_t n);
@@ -68,18 +40,12 @@ class Reproduction
      * mutated crossover/clone children.
      *
      * @param population current generation (all genomes evaluated)
-     * @param summaries optional precomputed per-species evaluation
-     *        summaries keyed by species id (one per current species);
-     *        when null they are computed inline via summarizeSpecies()
-     *        — the result is bit-identical either way
      * @return the next generation's genomes
      */
     std::map<int, Genome>
     reproduce(const NeatConfig &cfg, SpeciesSet &speciesSet,
               const std::map<int, Genome> &population, int generation,
-              InnovationTracker &innovation,
-              const std::map<int, SpeciesEvalSummary> *summaries =
-                  nullptr);
+              InnovationTracker &innovation);
 
     /** Number of genome keys handed out so far. */
     int genomesCreated() const { return nextGenomeKey_; }

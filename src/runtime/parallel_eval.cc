@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
-#include "runtime/task_graph.hh"
 
 namespace e3::runtime {
 
@@ -45,12 +44,6 @@ ParallelEval::evaluate(const EvalPlan &plan)
     e3_assert(plan.act, "evaluation plan needs a policy");
     e3_assert(!plan.episodeSeeds.empty(),
               "evaluation plan needs at least one episode round");
-    for (const auto &group : plan.groups) {
-        for (size_t lane : group.lanes) {
-            e3_assert(lane < plan.lanes, "group ", group.id,
-                      " references lane ", lane, " of ", plan.lanes);
-        }
-    }
 
     EvalOutcome out;
     if (plan.lanes == 0)
@@ -68,23 +61,31 @@ ParallelEval::evaluate(const EvalPlan &plan)
         venvs.push_back(
             std::make_unique<VectorEnv>(*plan.spec, plan.lanes, seed));
 
+    {
+        obs::TraceSpan span("rollout");
+        if (pool_) {
+            pool_->parallelFor(plan.lanes, [&](size_t i) {
+                runLane(plan, venvs, out, i);
+            });
+        } else {
+            for (size_t i = 0; i < plan.lanes; ++i)
+                runLane(plan, venvs, out, i);
+        }
+    }
+
     // Determinism sentinel: fold every lane's stream digest in fixed
     // (episode round, lane) order — independent of which worker ran
     // what when — and accumulate into the run-level digest. Runs once
     // per evaluation, after fan-in, on the calling thread.
-    auto foldAudit = [&] {
-        for (const auto &venv : venvs) {
-            for (size_t i = 0; i < plan.lanes; ++i)
-                out.rngAudit.mixAudit(venv->laneAudit(i));
-        }
-        audit_.mixAudit(out.rngAudit);
-    };
+    for (const auto &venv : venvs) {
+        for (size_t i = 0; i < plan.lanes; ++i)
+            out.rngAudit.mixAudit(venv->laneAudit(i));
+    }
+    audit_.mixAudit(out.rngAudit);
 
     // One sample per evaluation on the env-step counter track: the
     // rollout volume behind this generation's evaluate phase.
-    auto emitStepCounter = [&out] {
-        if (!obs::traceEnabled())
-            return;
+    if (obs::traceEnabled()) {
         double steps = 0.0;
         for (const auto &round : out.episodeLengths) {
             for (int s : round)
@@ -92,62 +93,7 @@ ParallelEval::evaluate(const EvalPlan &plan)
         }
         obs::traceCounter("eval.env_steps", steps,
                           obs::TraceDetail::Phase);
-    };
-
-    if (!pool_) {
-        for (size_t i = 0; i < plan.lanes; ++i)
-            runLane(plan, venvs, out, i);
-        if (plan.onGroupDone) {
-            for (const auto &group : plan.groups) {
-                obs::TraceSpan span("species_summary",
-                                    obs::TraceDetail::Task);
-                plan.onGroupDone(group, out.fitness);
-            }
-        }
-        foldAudit();
-        emitStepCounter();
-        return out;
     }
-
-    const bool overlap =
-        cfg_.asyncOverlap && plan.onGroupDone && !plan.groups.empty();
-    if (!overlap) {
-        pool_->parallelFor(plan.lanes, [&](size_t i) {
-            runLane(plan, venvs, out, i);
-        });
-        if (plan.onGroupDone) {
-            for (const auto &group : plan.groups) {
-                obs::TraceSpan span("species_summary",
-                                    obs::TraceDetail::Task);
-                plan.onGroupDone(group, out.fitness);
-            }
-        }
-        foldAudit();
-        emitStepCounter();
-        return out;
-    }
-
-    // Async overlap: each group's summary task depends only on its own
-    // lanes, so it runs while other groups' episodes are still going.
-    TaskGraph graph;
-    std::vector<TaskGraph::TaskId> laneTask(plan.lanes);
-    for (size_t i = 0; i < plan.lanes; ++i) {
-        laneTask[i] = graph.add(
-            "lane" + std::to_string(i),
-            [&, i] { runLane(plan, venvs, out, i); });
-    }
-    for (const auto &group : plan.groups) {
-        const TaskGraph::TaskId summary = graph.add(
-            "group" + std::to_string(group.id),
-            [&, &group = group] {
-                plan.onGroupDone(group, out.fitness);
-            });
-        for (size_t lane : group.lanes)
-            graph.dependsOn(summary, laneTask[lane]);
-    }
-    graph.run(*pool_);
-    foldAudit();
-    emitStepCounter();
     return out;
 }
 

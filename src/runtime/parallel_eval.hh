@@ -11,13 +11,6 @@
  * never share mutable state, and results land in per-lane slots. Any
  * worker count, including the serial threads<=1 path, produces the
  * same bits.
- *
- * Async overlap (CLAN-style): callers may group lanes (one group per
- * NEAT species) and attach a group callback. The callback runs on a
- * worker as soon as the last lane of its group finishes — while other
- * groups are still evaluating — which lets the fitness-dependent but
- * RNG-free prefix of "evolve" (per-species fitness summaries and
- * member ranking) overlap the evaluate tail.
  */
 
 #ifndef E3_RUNTIME_PARALLEL_EVAL_HH
@@ -37,13 +30,6 @@ struct RuntimeConfig
 {
     /** Worker threads; <= 1 keeps everything on the calling thread. */
     size_t threads = 1;
-
-    /**
-     * Overlap per-group (per-species) evolve-side summary work with
-     * the evaluate tail via the task graph. Functionally identical to
-     * the non-overlapped path; only wall-clock differs.
-     */
-    bool asyncOverlap = false;
 };
 
 /** One population evaluation request. */
@@ -60,24 +46,6 @@ struct EvalPlan
      * across lanes.
      */
     std::function<Action(size_t lane, const Observation &obs)> act;
-
-    /** A set of lanes whose completion unlocks follow-up work. */
-    struct Group
-    {
-        int id = 0;                ///< caller's key (e.g. species id)
-        std::vector<size_t> lanes; ///< member lane indices
-    };
-    std::vector<Group> groups;
-
-    /**
-     * Runs once per group after all its lanes finished — on a worker
-     * in async-overlap mode, inline after evaluation otherwise. The
-     * per-lane mean fitness of the group's lanes is final when called.
-     * Must write only group-private state.
-     */
-    std::function<void(const Group &group,
-                       const std::vector<double> &laneFitness)>
-        onGroupDone;
 };
 
 /** Per-lane results of one evaluation. */
@@ -107,15 +75,14 @@ class ParallelEval
     EvalOutcome evaluate(const EvalPlan &plan);
 
     size_t threads() const { return cfg_.threads; }
-    bool asyncOverlap() const { return cfg_.asyncOverlap; }
 
     /** Pool utilization counters accumulated so far (empty if serial). */
     Counters counters() const;
 
     /**
      * The determinism sentinel: RNG stream digests of every
-     * evaluate() call so far, folded in submission order. Serial,
-     * 2/4/8-thread and async runs of the same experiment must return
+     * evaluate() call so far, folded in submission order. Serial and
+     * 2/4/8-thread runs of the same experiment must return
      * identical digests — compare them across configurations (the
      * determinism-sentinel test and CI job do) to catch
      * scheduling-dependent draws at the source.

@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -49,15 +50,6 @@ ThreadPool::enqueue(size_t worker, Task task)
         ++epoch_;
     }
     workAvailable_.notify_all();
-}
-
-void
-ThreadPool::submit(Task task)
-{
-    const size_t worker =
-        nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
-    enqueue(worker, std::move(task));
 }
 
 void
@@ -159,12 +151,45 @@ ThreadPool::parallelFor(size_t n,
 
     struct Batch
     {
+        Batch(const std::function<void(size_t)> &body, size_t n,
+              size_t grain)
+            : body(body), n(n), grain(grain)
+        {
+        }
+
+        const std::function<void(size_t)> &body;
+        const size_t n;
+        const size_t grain;
         Mutex mutex;
         CondVar done;
         size_t remaining E3_GUARDED_BY(mutex) = 0;
         std::exception_ptr error E3_GUARDED_BY(mutex);
         std::atomic<bool> failed{false};
-    } batch;
+
+        void
+        runChunk(size_t c)
+        {
+            std::exception_ptr chunkError;
+            if (!failed.load(std::memory_order_relaxed)) {
+                try {
+                    const size_t hi = std::min(n, (c + 1) * grain);
+                    for (size_t i = c * grain; i < hi; ++i)
+                        body(i);
+                } catch (...) {
+                    chunkError = std::current_exception();
+                    failed.store(true, std::memory_order_relaxed);
+                }
+            }
+            // Decrement and notify under one lock hold: the waiter can
+            // only observe remaining == 0 after this task released the
+            // mutex and will never touch the batch again.
+            MutexLock lock(mutex);
+            if (chunkError && !error)
+                error = chunkError;
+            if (--remaining == 0)
+                done.notify_all();
+        }
+    } batch(body, n, grain);
     const size_t chunks = (n + grain - 1) / grain;
     {
         MutexLock lock(batch.mutex);
@@ -172,31 +197,14 @@ ThreadPool::parallelFor(size_t n,
     }
 
     for (size_t c = 0; c < chunks; ++c) {
-        const size_t lo = c * grain;
-        const size_t hi = std::min(n, lo + grain);
+        auto task = [&batch, c] { batch.runChunk(c); };
+        // Inline in std::function, so no per-chunk heap closure whose
+        // memory a worker reuses for its per-step vectors (DESIGN §7).
+        static_assert(sizeof(task) <= 2 * sizeof(void *),
+                      "parallelFor chunk task must stay inline");
         // Deterministic deal: chunk c always starts on deque c % W;
         // stealing may move it, but results are index-disjoint.
-        submitTo(c % workers_.size(), [&batch, &body, lo, hi] {
-            std::exception_ptr error;
-            if (!batch.failed.load(std::memory_order_relaxed)) {
-                try {
-                    for (size_t i = lo; i < hi; ++i)
-                        body(i);
-                } catch (...) {
-                    error = std::current_exception();
-                    batch.failed.store(true,
-                                       std::memory_order_relaxed);
-                }
-            }
-            // Decrement and notify under one lock hold: the waiter can
-            // only observe remaining == 0 after this task released the
-            // mutex and will never touch the batch again.
-            MutexLock lock(batch.mutex);
-            if (error && !batch.error)
-                batch.error = error;
-            if (--batch.remaining == 0)
-                batch.done.notify_all();
-        });
+        submitTo(c % workers_.size(), task);
     }
 
     MutexLock lock(batch.mutex);

@@ -7,7 +7,7 @@
  * but episode lengths vary wildly (the irregularity of Fig. 4), so a
  * static partition of lanes leaves workers idle behind the longest
  * episodes. Each worker therefore owns a deque: tasks are dealt
- * round-robin at submit time (a deterministic initial placement),
+ * round-robin at enqueue time (a deterministic initial placement),
  * owners pop oldest-first, and an idle worker steals from the back of
  * a victim's deque. Stealing only moves *where* a task executes; tasks
  * write disjoint results, so outcomes are schedule-independent.
@@ -58,9 +58,6 @@ class ThreadPool
 
     size_t workerCount() const { return workers_.size(); }
 
-    /** Enqueue a task on the next deque (round-robin). */
-    void submit(Task task);
-
     /** Enqueue a task on a specific worker's deque. */
     void submitTo(size_t worker, Task task);
 
@@ -110,8 +107,6 @@ class ThreadPool
     CondVar workAvailable_;
     uint64_t epoch_ E3_GUARDED_BY(sleepMutex_) = 0;
     bool stop_ E3_GUARDED_BY(sleepMutex_) = false;
-
-    std::atomic<size_t> nextWorker_{0}; ///< round-robin deal cursor
 
     /** Tasks submitted but not yet claimed (trace queue-depth track). */
     std::atomic<int64_t> queued_{0};

@@ -85,6 +85,16 @@ ChampionServer::create(const ServeOptions &options)
     if (options.sources.empty())
         return Status::error("serve needs at least one champion "
                              "(checkpoint dir + env)");
+    // A batch is drawn from the queue, so lanes past its depth never
+    // fill; they would still be allocated in every cached engine.
+    if (options.maxBatchSize > options.maxQueueDepth)
+        return Status::error("batch size ", options.maxBatchSize,
+                             " exceeds the queue depth ",
+                             options.maxQueueDepth);
+    if (options.maxBatchSize > kMaxBatchLanes)
+        return Status::error("batch size ", options.maxBatchSize,
+                             " exceeds the ", kMaxBatchLanes,
+                             "-lane cap");
 
     auto server =
         std::unique_ptr<ChampionServer>(new ChampionServer(options));

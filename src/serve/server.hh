@@ -43,6 +43,13 @@
 
 namespace e3::serve {
 
+/**
+ * Most lanes one batch may have. Every cached champion holds a value
+ * arena of this many lanes, so an unbounded batch size is a memory
+ * bomb; coalescing beyond a few thousand requests only adds latency.
+ */
+inline constexpr size_t kMaxBatchLanes = 4096;
+
 /** One champion to load: a checkpoint directory plus its task. */
 struct ChampionSource
 {
@@ -57,6 +64,7 @@ struct ServeOptions
     /** Compiled networks kept resident (LRU beyond this). */
     size_t cacheCapacity = 8;
 
+    /** Lanes per batch; at most maxQueueDepth and kMaxBatchLanes. */
     size_t maxBatchSize = 16;
     std::chrono::microseconds maxBatchDelay{200};
     size_t maxQueueDepth = 256;
@@ -100,7 +108,8 @@ class ChampionServer
      * that fails — unreadable checkpoint, no champion recorded,
      * unknown environment, or a genome the verifier rejects — fails
      * the whole create with a tagged error (a server must never come
-     * up silently missing a champion).
+     * up silently missing a champion). A batch size the queue can
+     * never fill, or one past kMaxBatchLanes, fails before any load.
      */
     static Result<std::unique_ptr<ChampionServer>>
     create(const ServeOptions &options);

@@ -1,9 +1,9 @@
 /**
  * @file
  * src/runtime: worker pool lifecycle, exception propagation, work
- * stealing, task-graph ordering, and the determinism contract — the
- * parallel evaluator must produce bit-identical results to the serial
- * path for every thread count, with and without async overlap.
+ * stealing, and the determinism contract — the parallel evaluator must
+ * produce bit-identical results to the serial path for every thread
+ * count.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "e3/experiment.hh"
 #include "runtime/parallel_eval.hh"
-#include "runtime/task_graph.hh"
 #include "runtime/thread_pool.hh"
 
 using namespace e3;
@@ -109,53 +108,15 @@ TEST(ThreadPool, CountersAccountEveryTask)
     EXPECT_DOUBLE_EQ(exported.get("runtime.tasks_run"), 500.0);
 }
 
-TEST(TaskGraph, RespectsDependencies)
-{
-    ThreadPool pool(4);
-    TaskGraph graph;
-    // Diamond: a -> {b, c} -> d. Each node reads only finished inputs.
-    int va = 0;
-    int vb = 0;
-    int vc = 0;
-    int vd = 0;
-    const auto a = graph.add("a", [&] { va = 7; });
-    const auto b = graph.add("b", [&] { vb = va + 1; });
-    const auto c = graph.add("c", [&] { vc = va + 2; });
-    const auto d = graph.add("d", [&] { vd = vb + vc; });
-    graph.dependsOn(b, a);
-    graph.dependsOn(c, a);
-    graph.dependsOn(d, b);
-    graph.dependsOn(d, c);
-    graph.run(pool);
-    EXPECT_EQ(va, 7);
-    EXPECT_EQ(vb, 8);
-    EXPECT_EQ(vc, 9);
-    EXPECT_EQ(vd, 17);
-}
-
-TEST(TaskGraph, FailurePropagatesAndSkipsDependents)
-{
-    ThreadPool pool(2);
-    TaskGraph graph;
-    bool dependentRan = false;
-    const auto boom =
-        graph.add("boom", [] { throw std::runtime_error("boom"); });
-    const auto after = graph.add("after", [&] { dependentRan = true; });
-    graph.dependsOn(after, boom);
-    EXPECT_THROW(graph.run(pool), std::runtime_error);
-    EXPECT_FALSE(dependentRan);
-}
-
 namespace {
 
 /** Evaluate a tiny cartpole population with a fixed linear policy. */
 EvalOutcome
-evalCartpole(size_t threads, bool asyncOverlap)
+evalCartpole(size_t threads)
 {
     const EnvSpec &spec = envSpec("cartpole");
     RuntimeConfig cfg;
     cfg.threads = threads;
-    cfg.asyncOverlap = asyncOverlap;
     ParallelEval runtime(cfg);
 
     EvalPlan plan;
@@ -176,10 +137,10 @@ evalCartpole(size_t threads, bool asyncOverlap)
 
 TEST(ParallelEval, BitIdenticalAcrossThreadCounts)
 {
-    const EvalOutcome serial = evalCartpole(1, false);
+    const EvalOutcome serial = evalCartpole(1);
     ASSERT_EQ(serial.fitness.size(), 24u);
     for (size_t threads : {2u, 4u, 8u}) {
-        const EvalOutcome parallel = evalCartpole(threads, false);
+        const EvalOutcome parallel = evalCartpole(threads);
         EXPECT_EQ(serial.fitness, parallel.fitness)
             << threads << " threads";
         EXPECT_EQ(serial.episodeLengths, parallel.episodeLengths)
@@ -193,53 +154,12 @@ TEST(ParallelEval, RngAuditIdenticalAcrossThreadCounts)
     // digest is folded in fixed lane order, so any scheduling-
     // dependent RNG consumption shows up as a digest mismatch even
     // when fitness happens to agree.
-    const EvalOutcome serial = evalCartpole(1, false);
+    const EvalOutcome serial = evalCartpole(1);
     EXPECT_GT(serial.rngAudit.draws, 0u);
     for (size_t threads : {2u, 4u, 8u}) {
-        const EvalOutcome parallel = evalCartpole(threads, false);
+        const EvalOutcome parallel = evalCartpole(threads);
         EXPECT_EQ(serial.rngAudit, parallel.rngAudit)
             << threads << " threads";
-    }
-    const EvalOutcome async = evalCartpole(4, true);
-    EXPECT_EQ(serial.rngAudit, async.rngAudit)
-        << "4 threads + async overlap";
-}
-
-TEST(ParallelEval, GroupCallbackSeesFinalGroupFitness)
-{
-    const EnvSpec &spec = envSpec("cartpole");
-    RuntimeConfig cfg;
-    cfg.threads = 4;
-    cfg.asyncOverlap = true;
-    ParallelEval runtime(cfg);
-
-    EvalPlan plan;
-    plan.spec = &spec;
-    plan.lanes = 12;
-    plan.episodeSeeds = {5};
-    plan.act = [&](size_t, const Observation &obs) {
-        return decodeAction(spec,
-                            {obs[2] > 0.0 ? 1.0 : 0.0});
-    };
-    plan.groups = {{1, {0, 1, 2, 3}}, {2, {4, 5, 6, 7}},
-                   {3, {8, 9, 10, 11}}};
-    std::vector<double> groupMeans(4, -1.0);
-    plan.onGroupDone = [&](const EvalPlan::Group &group,
-                           const std::vector<double> &laneFitness) {
-        double sum = 0.0;
-        for (size_t lane : group.lanes)
-            sum += laneFitness[lane];
-        groupMeans[static_cast<size_t>(group.id)] =
-            sum / static_cast<double>(group.lanes.size());
-    };
-
-    const EvalOutcome out = runtime.evaluate(plan);
-    for (int gid = 1; gid <= 3; ++gid) {
-        double sum = 0.0;
-        for (size_t lane = (gid - 1) * 4u; lane < gid * 4u; ++lane)
-            sum += out.fitness[lane];
-        EXPECT_DOUBLE_EQ(groupMeans[static_cast<size_t>(gid)],
-                         sum / 4.0);
     }
 }
 
@@ -247,7 +167,7 @@ namespace {
 
 /** One platform run; returns the full generation trace. */
 std::vector<GenerationPoint>
-traceOf(const std::string &env, size_t threads, bool asyncOverlap)
+traceOf(const std::string &env, size_t threads)
 {
     ExperimentOptions opt;
     opt.seed = 3;
@@ -255,7 +175,6 @@ traceOf(const std::string &env, size_t threads, bool asyncOverlap)
     opt.episodesPerEval = 2;
     opt.maxGenerations = 20;
     opt.threads = threads;
-    opt.asyncOverlap = asyncOverlap;
     return runExperiment(env, BackendKind::Cpu, opt).trace;
 }
 
@@ -285,59 +204,44 @@ expectIdenticalTraces(const std::vector<GenerationPoint> &a,
 
 TEST(RuntimeDeterminism, CartpoleTraceIdenticalAcrossThreadCounts)
 {
-    const auto serial = traceOf("cartpole", 1, false);
+    const auto serial = traceOf("cartpole", 1);
     ASSERT_FALSE(serial.empty());
     for (size_t threads : {2u, 4u, 8u}) {
         expectIdenticalTraces(
-            serial, traceOf("cartpole", threads, false),
+            serial, traceOf("cartpole", threads),
             "cartpole, " + std::to_string(threads) + " threads");
     }
-    expectIdenticalTraces(serial, traceOf("cartpole", 4, true),
-                          "cartpole, 4 threads + async overlap");
 }
 
 TEST(RuntimeDeterminism, LunarLanderTraceIdenticalAcrossThreadCounts)
 {
-    const auto serial = traceOf("lunar_lander", 1, false);
+    const auto serial = traceOf("lunar_lander", 1);
     ASSERT_FALSE(serial.empty());
     for (size_t threads : {2u, 4u, 8u}) {
         expectIdenticalTraces(
-            serial, traceOf("lunar_lander", threads, false),
+            serial, traceOf("lunar_lander", threads),
             "lunar_lander, " + std::to_string(threads) + " threads");
     }
-    expectIdenticalTraces(serial, traceOf("lunar_lander", 4, true),
-                          "lunar_lander, 4 threads + async overlap");
 }
 
 TEST(RuntimeDeterminism, RngAuditIdenticalAcrossFullRuns)
 {
     // End-to-end sentinel: a whole evolve run folds every evaluation's
-    // audit into RunResult::rngAudit. Serial, threaded, and async runs
-    // must report the same (draws, hash) digest.
-    auto auditOf = [](size_t threads, bool asyncOverlap) {
+    // audit into RunResult::rngAudit. Serial and threaded runs must
+    // report the same (draws, hash) digest.
+    auto auditOf = [](size_t threads) {
         ExperimentOptions opt;
         opt.seed = 3;
         opt.populationSize = 64;
         opt.episodesPerEval = 2;
         opt.maxGenerations = 8;
         opt.threads = threads;
-        opt.asyncOverlap = asyncOverlap;
         return runExperiment("cartpole", BackendKind::Cpu, opt).rngAudit;
     };
-    const RngAudit serial = auditOf(1, false);
+    const RngAudit serial = auditOf(1);
     EXPECT_GT(serial.draws, 0u);
     for (size_t threads : {2u, 4u, 8u}) {
-        EXPECT_EQ(serial, auditOf(threads, false))
+        EXPECT_EQ(serial, auditOf(threads))
             << threads << " threads";
     }
-    EXPECT_EQ(serial, auditOf(4, true)) << "4 threads + async overlap";
-}
-
-TEST(RuntimeDeterminism, AsyncOverlapMatchesSerialOnSerialFallback)
-{
-    // threads=1 with async overlap requested: the serial fallback must
-    // still run the group callbacks and produce the same trace.
-    expectIdenticalTraces(traceOf("cartpole", 1, false),
-                          traceOf("cartpole", 1, true),
-                          "cartpole, serial async fallback");
 }

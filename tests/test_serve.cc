@@ -510,6 +510,34 @@ TEST(ServeLoad, RefusesCheckpointWithoutChampion)
     EXPECT_NE(r.message().find("champion"), std::string::npos);
 }
 
+TEST(ServeLoad, RefusesBatchLargerThanQueueOrLaneCap)
+{
+    // A 10^8-lane batch must fail at create, before any champion is
+    // compiled into an engine sized for that many lanes.
+    const std::string dir = championDir("cartpole", "load_big_batch");
+    ServeOptions opt;
+    opt.sources = {{dir, "cartpole"}};
+    opt.maxBatchSize = 100000000;
+    Result<std::unique_ptr<ChampionServer>> r =
+        ChampionServer::create(opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("queue depth"), std::string::npos)
+        << r.message();
+
+    // A queue deep enough to fill it does not lift the lane cap.
+    opt.maxQueueDepth = 1000000000;
+    r = ChampionServer::create(opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("lane cap"), std::string::npos)
+        << r.message();
+
+    // Both bounds are inclusive.
+    opt.maxBatchSize = kMaxBatchLanes;
+    opt.maxQueueDepth = kMaxBatchLanes;
+    r = ChampionServer::create(opt);
+    EXPECT_TRUE(r.ok()) << r.message();
+}
+
 // ---------------------------------------------------------------------
 // In-process request path
 // ---------------------------------------------------------------------

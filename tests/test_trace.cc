@@ -240,6 +240,21 @@ TEST(Trace, DisabledPathAllocatesNothing)
     EXPECT_EQ(after, before);
 }
 
+TEST(ThreadPoolAllocations, ParallelForChunkTasksStayInline)
+{
+    // A chunk task too large for std::function's inline buffer is one
+    // heap closure per chunk, freed on a worker thread. Only the
+    // amortized deque blocks may allocate here.
+    TraceSandbox sandbox;
+    constexpr size_t n = 1024;
+    runtime::ThreadPool pool(4);
+    pool.parallelFor(4, [](size_t) {}); // workers up and registered
+    const long before = g_allocations.load(std::memory_order_relaxed);
+    pool.parallelFor(n, [](size_t) {});
+    const long after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_LT(after - before, static_cast<long>(n / 4));
+}
+
 TEST(Trace, SpanNestingIsContained)
 {
     TraceSandbox sandbox;

@@ -201,7 +201,6 @@ cmdRun(const Args &args)
     options.maxGenerations = static_cast<int>(
         args.getInt("generations", suiteGenerationBudget(envName)));
     options.threads = args.getSize("threads", 1);
-    options.asyncOverlap = args.getInt("async", 0) != 0;
     options.verifyGenomes = args.getInt("verify", 0) != 0;
 
     const EnvSpec &spec = requireEnvSpec(envName);
@@ -256,15 +255,14 @@ cmdRun(const Args &args)
 
     if (!quiet) {
         std::printf("running %s on %s (pop %zu, %zu episode(s)/eval, "
-                    "seed %llu, %zu thread(s)%s)\n",
+                    "seed %llu, %zu thread(s))\n",
                     envName.c_str(),
                     BackendRegistry::instance()
                         .displayName(backend)
                         .c_str(),
                     options.populationSize, options.episodesPerEval,
                     static_cast<unsigned long long>(options.seed),
-                    options.threads,
-                    options.asyncOverlap ? ", async overlap" : "");
+                    options.threads);
     }
 
     Result<RunResult> run = runExperiment(envName, backend, options);
@@ -314,7 +312,7 @@ cmdRun(const Args &args)
     }
 
     // Determinism-sentinel digest: the same experiment must write the
-    // same two numbers at every --threads/--async setting, so CI can
+    // same two numbers at every --threads setting, so CI can
     // `cmp` the files across worker counts.
     if (!auditPath.empty()) {
         char buf[64];
@@ -855,7 +853,7 @@ usage()
         "  e3_cli run --env <name> --backend cpu|gpu|inax\n"
         "         [--pu N] [--pe N] [--pop N] [--generations N]\n"
         "         [--episodes N] [--seed N] [--csv file]\n"
-        "         [--threads N] [--async 0|1] [--audit file]\n"
+        "         [--threads N] [--audit file]\n"
         "         [--checkpoint-dir dir] [--checkpoint-every N]\n"
         "         [--checkpoint-keep K] [--resume]\n"
         "         [--neat-config file.ini] [--save champion.genome]\n"
