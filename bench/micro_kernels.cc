@@ -1,19 +1,24 @@
 /**
  * @file
  * google-benchmark micro suite: per-operation costs of the primitives
- * the platform composes — irregular-network inference, genome decode
- * ("CreateNet"), mutation, INAX scheduling, and the systolic baseline.
+ * the platform composes — irregular-network inference, the per-genome
+ * "CreateNet" (decode + the one network analysis + NetStats), mutation,
+ * INAX scheduling, and the systolic baseline.
  * These ground the analytical timing constants in measurable numbers.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "e3/experiment.hh"
 #include "e3/synthetic.hh"
+#include "env/env_registry.hh"
 #include "inax/inax.hh"
 #include "inax/systolic.hh"
 #include "neat/mutation.hh"
 #include "neat/population.hh"
 #include "nn/batch_eval.hh"
+#include "nn/layering.hh"
+#include "nn/net_stats.hh"
 
 using namespace e3;
 
@@ -191,16 +196,53 @@ BM_GenerationInferenceBatched(benchmark::State &state)
 }
 BENCHMARK(BM_GenerationInferenceBatched);
 
+/** An evolved LunarLander population, the genomes a generation decodes. */
+const std::vector<Genome> &
+landerGenomes()
+{
+    static const std::vector<Genome> genomes =
+        evolvedGenomes("lunar_lander", 8, 60, 11);
+    return genomes;
+}
+
+/**
+ * The platform's per-genome CreateNet: decode the genome, analyse the
+ * def once, and read its NetStats from that analysis (the analysis
+ * then feeds the population compile). Items = genomes.
+ */
 void
 BM_CreateNet(benchmark::State &state)
 {
-    Rng rng(2);
-    const auto def = syntheticIrregularNet(
-        paramsWithHidden(static_cast<size_t>(state.range(0))), rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(FeedForwardNetwork::create(def));
+    const EnvSpec &spec = envSpec("lunar_lander");
+    const NeatConfig cfg = NeatConfig::forTask(
+        spec.numInputs, spec.numOutputs, spec.requiredFitness);
+    const std::vector<Genome> &genomes = landerGenomes();
+    for (auto _ : state) {
+        for (const Genome &genome : genomes) {
+            const NetworkDef def = genome.toNetworkDef(cfg);
+            const NetAnalysis analysis = analyzeNetwork(def);
+            benchmark::DoNotOptimize(computeNetStats(def, analysis));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(genomes.size()));
 }
-BENCHMARK(BM_CreateNet)->Arg(10)->Arg(30);
+BENCHMARK(BM_CreateNet);
+
+/** analyzeNetwork() alone over the same population's defs. */
+void
+BM_AnalyzeNetwork(benchmark::State &state)
+{
+    const std::vector<NetworkDef> defs =
+        evolvedPopulation("lunar_lander", 8, 60, 11);
+    for (auto _ : state) {
+        for (const NetworkDef &def : defs)
+            benchmark::DoNotOptimize(analyzeNetwork(def));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(defs.size()));
+}
+BENCHMARK(BM_AnalyzeNetwork);
 
 void
 BM_MutateGenome(benchmark::State &state)

@@ -216,13 +216,27 @@ std::vector<NetworkDef>
 evolvedPopulation(const std::string &envName, int generations,
                   size_t populationSize, uint64_t seed)
 {
+    const EnvSpec &spec = envSpec(envName);
+    const NeatConfig cfg = NeatConfig::forTask(
+        spec.numInputs, spec.numOutputs, spec.requiredFitness);
+    std::vector<NetworkDef> defs;
+    for (const Genome &genome :
+         evolvedGenomes(envName, generations, populationSize, seed))
+        defs.push_back(genome.toNetworkDef(cfg));
+    return defs;
+}
+
+std::vector<Genome>
+evolvedGenomes(const std::string &envName, int generations,
+               size_t populationSize, uint64_t seed)
+{
     Population pop =
         evolveAgainstEnv(envSpec(envName), generations, populationSize,
                          seed, /*stopAtSolved=*/false);
-    std::vector<NetworkDef> defs;
+    std::vector<Genome> genomes;
     for (const auto &[key, genome] : pop.genomes())
-        defs.push_back(genome.toNetworkDef(pop.config()));
-    return defs;
+        genomes.push_back(genome);
+    return genomes;
 }
 
 Genome

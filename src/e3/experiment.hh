@@ -157,6 +157,14 @@ std::vector<NetworkDef> evolvedPopulation(const std::string &envName,
                                           uint64_t seed);
 
 /**
+ * The genomes evolvedPopulation() decodes, in genome-key order — the
+ * input of the platform's per-genome CreateNet.
+ */
+std::vector<Genome> evolvedGenomes(const std::string &envName,
+                                   int generations, size_t populationSize,
+                                   uint64_t seed);
+
+/**
  * Evolve against an environment and return the champion genome of the
  * final generation (stopping early once the required fitness is
  * reached). Pair with saveGenomeFile()/loadGenomeFile() for the

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "e3/inax_backend.hh"
 #include "nn/batch_eval.hh"
+#include "nn/layering.hh"
 #include "obs/trace.hh"
 #include "persist/checkpoint.hh"
 #include "verify/verify.hh"
@@ -109,19 +110,22 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
 {
     const size_t n = pop.genomes().size();
 
-    // CreateNet: decode every genome once per generation, then compile
-    // the whole population through the one population-compile entry
-    // point (nn/batch_eval): the flat engine under every backend, or,
-    // with quantized deployment enabled, the adapter over fixed-point
-    // evaluators (the accelerator's datapath view).
+    // CreateNet: decode and analyse every genome once per generation.
+    // The one NetAnalysis per def feeds the genome's NetStats (the
+    // trace's individuals, which also feed the generation summary and
+    // the champion's stats) and the compile of the whole population
+    // through the one population-compile entry point (nn/batch_eval):
+    // the flat engine under every backend, or, with quantized
+    // deployment enabled, the adapter over fixed-point evaluators (the
+    // accelerator's datapath view).
     std::vector<int> keys;
     std::vector<NetworkDef> defs;
-    keys.reserve(n);
-    defs.reserve(n);
-    NetworkCompileOptions compileOpts;
-    compileOpts.quantization = cfg_.quantization;
+    std::vector<NetAnalysis> analyses;
     {
         obs::TraceSpan span("createnet");
+        keys.reserve(n);
+        defs.reserve(n);
+        analyses.reserve(n);
         for (const auto &[key, genome] : pop.genomes()) {
             keys.push_back(key);
             NetworkDef def = genome.toNetworkDef(neatCfg_);
@@ -148,16 +152,23 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
                     verifyReport_.merge(std::move(report));
                 }
             }
-            trace.individuals.push_back(computeNetStats(def));
+            NetAnalysis analysis = analyzeNetwork(def);
+            trace.individuals.push_back(computeNetStats(def, analysis));
             defs.push_back(std::move(def));
+            analyses.push_back(std::move(analysis));
         }
     }
 
     std::unique_ptr<BatchNetwork> batch;
     {
         obs::TraceSpan span("compile");
+        NetworkCompileOptions compileOpts;
+        compileOpts.quantization = cfg_.quantization;
         Result<std::unique_ptr<BatchNetwork>> compiled =
-            compilePopulation(defs, compileOpts);
+            compilePopulation(defs, analyses, compileOpts);
+        // Free the analyses now: the compiled lanes keep nothing of
+        // them.
+        analyses = {};
         // Evolved genomes satisfy the structural invariants by
         // construction, so a compile failure here is an evolution-loop
         // bug.
@@ -183,13 +194,12 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
                 }
             }
         }
+        trace.defs = std::move(defs);
+        trace.numInputs = spec_.numInputs;
+        trace.numOutputs = spec_.numOutputs;
     }
 
-    for (auto &def : defs)
-        trace.defs.push_back(std::move(def));
-    trace.numInputs = spec_.numInputs;
-    trace.numOutputs = spec_.numOutputs;
-
+    obs::TraceSpan span("evaluate");
     runtime::EvalPlan plan;
     plan.spec = &spec_;
     plan.lanes = n;
@@ -201,12 +211,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
              (static_cast<uint64_t>(generation) * 31 + e + 1)));
     }
     plan.act = batchPolicy(*batch, spec_);
-
-    runtime::EvalOutcome outcome;
-    {
-        obs::TraceSpan span("evaluate");
-        outcome = runtime_.evaluate(plan);
-    }
+    runtime::EvalOutcome outcome = runtime_.evaluate(plan);
     trace.episodes = std::move(outcome.episodeLengths);
     for (const auto &round : trace.episodes) {
         for (int steps : round)
@@ -214,6 +219,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     }
     for (size_t i = 0; i < n; ++i)
         pop.genomes().at(keys[i]).fitness = outcome.fitness[i];
+    batch.reset(); // its arena is freed inside the phase, too
 }
 
 std::function<Action(size_t, const Observation &)>
@@ -307,7 +313,10 @@ E3Platform::run()
     // Cut one metrics row per generation: gauges carry the current
     // value, counters the delta since the previous row, so every
     // generation's spend is isolated (the fig9-style breakdown).
+    // Runs after the checkpoint write whose spend it records, so it
+    // has its own span rather than joining "stats".
     auto closeGeneration = [&](int gen, const GenerationStats &stats) {
+        obs::TraceSpan span("metrics");
         metrics_.setGauge("fitness.best", stats.bestFitness);
         metrics_.setGauge("fitness.mean", stats.meanFitness);
         metrics_.setGauge("species.count",
@@ -375,46 +384,50 @@ E3Platform::run()
         obs::TraceSpan genSpan("generation");
         GenerationTrace trace;
         evaluateFunctional(pop, trace, gen);
-        // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
-        trace.validate();
-
-        // --- modeled timing ---
-        result.modeled.add(e3_phase::createNet,
-                           host_.createNetSeconds(trace));
-        result.modeled.add(e3_phase::env, host_.envSeconds(trace));
-        double evalSeconds = 0.0;
         {
-            // The backend's modeled replay (INAX session / GPU / CPU
-            // cost model); hw-detail traces emit the per-PU timelines
-            // from inside this span.
+            // --- modeled timing: the host model, then the backend's
+            // replay (INAX session / GPU / CPU cost model); hw-detail
+            // traces emit the per-PU timelines from inside this span.
             obs::TraceSpan span("backend_replay");
-            evalSeconds = backend_->evaluateSeconds(trace);
+            // e3-lint: discard-ok -- GenerationTrace::validate is void; it shares its name with Status-returning validates elsewhere
+            trace.validate();
+            result.modeled.add(e3_phase::createNet,
+                               host_.createNetSeconds(trace));
+            result.modeled.add(e3_phase::env, host_.envSeconds(trace));
+            const double evalSeconds = backend_->evaluateSeconds(trace);
+            result.modeled.add(e3_phase::evaluate, evalSeconds);
+            backend_->attributeEnergy(evalSeconds, result.energyInput);
         }
-        result.modeled.add(e3_phase::evaluate, evalSeconds);
-        backend_->attributeEnergy(evalSeconds, result.energyInput);
 
-        // --- per-generation stats ---
-        const GenerationStats stats = pop.stats();
-        GenerationPoint point;
-        point.generation = gen;
-        point.bestFitness = stats.bestFitness;
-        point.meanFitness = stats.meanFitness;
-        point.normalizedBest =
-            spec_.normalizeFitness(stats.bestFitness);
-        point.cumulativeSeconds = result.modeled.totalSeconds();
-        point.meanNodes = stats.nodeCounts.mean();
-        point.meanConnections = stats.connCounts.mean();
-        point.meanDensity = stats.densities.mean();
-        point.numSpecies = stats.numSpecies;
-        result.trace.push_back(point);
+        // --- per-generation stats, from CreateNet's NetStats ---
+        GenerationStats stats;
+        {
+            obs::TraceSpan span("stats");
+            stats = pop.stats(trace.individuals);
+            GenerationPoint point;
+            point.generation = gen;
+            point.bestFitness = stats.bestFitness;
+            point.meanFitness = stats.meanFitness;
+            point.normalizedBest =
+                spec_.normalizeFitness(stats.bestFitness);
+            point.cumulativeSeconds = result.modeled.totalSeconds();
+            point.meanNodes = stats.nodeCounts.mean();
+            point.meanConnections = stats.connCounts.mean();
+            point.meanDensity = stats.densities.mean();
+            point.numSpecies = stats.numSpecies;
+            result.trace.push_back(point);
 
-        result.generations = gen + 1;
-        if (pop.best().fitness >= result.bestFitness ||
-            (result.trace.size() == 1 && !bestGenome)) {
-            result.bestFitness = pop.best().fitness;
-            result.bestNetStats = computeNetStats(
-                pop.best().toNetworkDef(neatCfg_));
-            bestGenome = pop.best();
+            result.generations = gen + 1;
+            const Genome &best = pop.best();
+            if (best.fitness >= result.bestFitness ||
+                (result.trace.size() == 1 && !bestGenome)) {
+                result.bestFitness = best.fitness;
+                // individuals are in genome-key order.
+                result.bestNetStats = trace.individuals[static_cast<size_t>(
+                    std::distance(pop.genomes().begin(),
+                                  pop.genomes().find(best.key())))];
+                bestGenome = best;
+            }
         }
 
         if (pop.solved()) {

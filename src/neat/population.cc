@@ -105,21 +105,35 @@ Population::addReporter(Reporter *reporter)
 GenerationStats
 Population::stats() const
 {
+    std::vector<NetStats> individuals;
+    individuals.reserve(genomes_.size());
+    for (const auto &[key, genome] : genomes_)
+        individuals.push_back(computeNetStats(genome.toNetworkDef(cfg_)));
+    return stats(individuals);
+}
+
+GenerationStats
+Population::stats(const std::vector<NetStats> &individuals) const
+{
+    e3_assert(individuals.size() == genomes_.size(), "stats of ",
+              genomes_.size(), " genomes given ", individuals.size(),
+              " NetStats");
     GenerationStats gs;
     gs.generation = generation_;
     gs.numSpecies = species_.count();
 
     double sum = 0.0;
     double best = -1e300;
+    auto ns = individuals.begin();
     for (const auto &[key, genome] : genomes_) {
         if (genome.evaluated()) {
             sum += genome.fitness;
             best = std::max(best, genome.fitness);
         }
-        const NetStats ns = computeNetStats(genome.toNetworkDef(cfg_));
-        gs.nodeCounts.add(static_cast<double>(ns.activeNodes));
-        gs.connCounts.add(static_cast<double>(ns.activeConnections));
-        gs.densities.add(ns.density);
+        gs.nodeCounts.add(static_cast<double>(ns->activeNodes));
+        gs.connCounts.add(static_cast<double>(ns->activeConnections));
+        gs.densities.add(ns->density);
+        ++ns;
     }
     gs.bestFitness = best;
     gs.meanFitness = sum / static_cast<double>(genomes_.size());

@@ -20,6 +20,8 @@
 
 namespace e3 {
 
+struct NetStats;
+
 /** Per-generation summary used by the convergence/irregularity benches. */
 struct GenerationStats
 {
@@ -99,8 +101,17 @@ class Population
      */
     void advance();
 
-    /** Structural summary of the current generation (Fig. 2/4 data). */
+    /**
+     * Structural summary of the current generation (Fig. 2/4 data);
+     * decodes and analyses every genome.
+     */
     GenerationStats stats() const;
+
+    /**
+     * Same, from each genome's NetStats in genome-key order (the
+     * platform's GenerationTrace::individuals), decoding nothing.
+     */
+    GenerationStats stats(const std::vector<NetStats> &individuals) const;
 
     /**
      * Attach a non-owning observer, notified after evaluateAll() and

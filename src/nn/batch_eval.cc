@@ -25,6 +25,27 @@ checkLaneArity(size_t lane, size_t numInputs, size_t numOutputs,
     return Status();
 }
 
+/** One analysis per def, or an error naming both counts. */
+Status
+checkAnalysisCount(size_t numDefs, size_t numAnalyses)
+{
+    if (numDefs != numAnalyses)
+        return Status::error("batch compile got ", numAnalyses,
+                             " analyses for ", numDefs, " defs");
+    return Status();
+}
+
+/** Every def's analysis, in def order. */
+std::vector<NetAnalysis>
+analyzeAll(const std::vector<NetworkDef> &defs)
+{
+    std::vector<NetAnalysis> analyses;
+    analyses.reserve(defs.size());
+    for (const NetworkDef &def : defs)
+        analyses.push_back(analyzeNetwork(def));
+    return analyses;
+}
+
 } // namespace
 
 namespace detail {
@@ -189,19 +210,33 @@ Result<std::unique_ptr<BatchEvaluator>>
 BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
                         const NetworkCompileOptions &options)
 {
-    return build(defs.data(), defs.size(), defs.size(), options);
+    return compile(defs, analyzeAll(defs), options);
+}
+
+Result<std::unique_ptr<BatchEvaluator>>
+BatchEvaluator::compile(const std::vector<NetworkDef> &defs,
+                        const std::vector<NetAnalysis> &analyses,
+                        const NetworkCompileOptions &options)
+{
+    if (Status count = checkAnalysisCount(defs.size(), analyses.size());
+        !count.ok())
+        return count;
+    return build(defs.data(), analyses.data(), defs.size(), defs.size(),
+                 options);
 }
 
 Result<std::unique_ptr<BatchEvaluator>>
 BatchEvaluator::compileReplicated(const NetworkDef &def, size_t lanes,
                                   const NetworkCompileOptions &options)
 {
-    return build(&def, 1, lanes, options);
+    const NetAnalysis analysis = analyzeNetwork(def);
+    return build(&def, &analysis, 1, lanes, options);
 }
 
 Result<std::unique_ptr<BatchEvaluator>>
-BatchEvaluator::build(const NetworkDef *defs, size_t numDefs,
-                      size_t lanes, const NetworkCompileOptions &options)
+BatchEvaluator::build(const NetworkDef *defs, const NetAnalysis *analyses,
+                      size_t numDefs, size_t lanes,
+                      const NetworkCompileOptions &options)
 {
     if (numDefs == 0 || lanes == 0)
         return Status::error("batch compile needs at least one lane");
@@ -217,8 +252,7 @@ BatchEvaluator::build(const NetworkDef *defs, size_t numDefs,
     plan.numInputs = defs[0].inputIds.size();
     plan.numOutputs = defs[0].outputIds.size();
     for (size_t i = 0; i < numDefs; ++i) {
-        const NetAnalysis analysis = analyzeNetwork(defs[i]);
-        if (Status invariants = checkDefInvariants(defs[i], analysis);
+        if (Status invariants = checkDefInvariants(defs[i], analyses[i]);
             !invariants.ok()) {
             return Status::error("genome ", i, ": malformed NetworkDef: ",
                                  invariants.message());
@@ -228,7 +262,8 @@ BatchEvaluator::build(const NetworkDef *defs, size_t numDefs,
                 plan.numInputs, plan.numOutputs);
             !arity.ok())
             return arity;
-        if (Status fits = eval->appendLane(defs[i], analysis); !fits.ok())
+        if (Status fits = eval->appendLane(defs[i], analyses[i]);
+            !fits.ok())
             return fits;
     }
 
@@ -472,13 +507,15 @@ asBatchNetwork(Result<std::unique_ptr<Engine>> engine)
  * defs[i % numDefs], as in BatchEvaluator::build().
  */
 Result<std::unique_ptr<BatchNetwork>>
-adaptLanes(const NetworkDef *defs, size_t numDefs, size_t lanes,
+adaptLanes(const NetworkDef *defs, const NetAnalysis *analyses,
+           size_t numDefs, size_t lanes,
            const NetworkCompileOptions &options)
 {
     std::vector<std::unique_ptr<Network>> nets;
     nets.reserve(lanes);
     for (size_t lane = 0; lane < lanes; ++lane) {
-        auto net = compileNetwork(defs[lane % numDefs], options);
+        auto net = compileNetwork(defs[lane % numDefs],
+                                  analyses[lane % numDefs], options);
         if (!net.ok())
             return Status::error("genome ", lane % numDefs, ": ",
                                  net.message());
@@ -494,9 +531,23 @@ compilePopulation(const std::vector<NetworkDef> &defs,
                   const NetworkCompileOptions &options,
                   BatchEngine engine)
 {
+    return compilePopulation(defs, analyzeAll(defs), options, engine);
+}
+
+Result<std::unique_ptr<BatchNetwork>>
+compilePopulation(const std::vector<NetworkDef> &defs,
+                  const std::vector<NetAnalysis> &analyses,
+                  const NetworkCompileOptions &options,
+                  BatchEngine engine)
+{
+    if (Status count = checkAnalysisCount(defs.size(), analyses.size());
+        !count.ok())
+        return count;
     if (usesFlatEngine(options, engine))
-        return asBatchNetwork(BatchEvaluator::compile(defs, options));
-    return adaptLanes(defs.data(), defs.size(), defs.size(), options);
+        return asBatchNetwork(
+            BatchEvaluator::compile(defs, analyses, options));
+    return adaptLanes(defs.data(), analyses.data(), defs.size(),
+                      defs.size(), options);
 }
 
 Result<std::unique_ptr<BatchNetwork>>
@@ -507,7 +558,8 @@ compileReplicated(const NetworkDef &def, size_t lanes,
     if (usesFlatEngine(options, engine))
         return asBatchNetwork(
             BatchEvaluator::compileReplicated(def, lanes, options));
-    return adaptLanes(&def, 1, lanes, options);
+    const NetAnalysis analysis = analyzeNetwork(def);
+    return adaptLanes(&def, &analysis, 1, lanes, options);
 }
 
 } // namespace e3

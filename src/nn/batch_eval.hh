@@ -177,6 +177,15 @@ class BatchEvaluator : public BatchNetwork
             const NetworkCompileOptions &options = {});
 
     /**
+     * Same, over each def's analysis (nn/layering.hh): analyses[i]
+     * must be analyzeNetwork(defs[i]); a count mismatch is an error.
+     */
+    static Result<std::unique_ptr<BatchEvaluator>>
+    compile(const std::vector<NetworkDef> &defs,
+            const std::vector<NetAnalysis> &analyses,
+            const NetworkCompileOptions &options = {});
+
+    /**
      * Compile one definition shared by @p lanes value lanes — the
      * serve-side shape, where coalesced same-champion requests land in
      * one activateBatch() call.
@@ -212,9 +221,13 @@ class BatchEvaluator : public BatchNetwork
   private:
     BatchEvaluator() = default;
 
-    /** The one compile path: lane i runs defs[i % numDefs]. */
+    /**
+     * The one compile path: lane i runs defs[i % numDefs], whose
+     * analysis is analyses[i % numDefs].
+     */
     static Result<std::unique_ptr<BatchEvaluator>>
-    build(const NetworkDef *defs, size_t numDefs, size_t lanes,
+    build(const NetworkDef *defs, const NetAnalysis *analyses,
+          size_t numDefs, size_t lanes,
           const NetworkCompileOptions &options);
 
     /** Emit a def's program as the next lane; fails past 2^32 slots. */
@@ -280,6 +293,18 @@ enum class BatchEngine
  */
 Result<std::unique_ptr<BatchNetwork>>
 compilePopulation(const std::vector<NetworkDef> &defs,
+                  const NetworkCompileOptions &options = {},
+                  BatchEngine engine = BatchEngine::Auto);
+
+/**
+ * Same, over each def's analysis (analyses[i] must be
+ * analyzeNetwork(defs[i])), so a caller that already analysed the
+ * population — the platform's CreateNet — does not analyse it again.
+ * Every invariant check still runs; a count mismatch is an error.
+ */
+Result<std::unique_ptr<BatchNetwork>>
+compilePopulation(const std::vector<NetworkDef> &defs,
+                  const std::vector<NetAnalysis> &analyses,
                   const NetworkCompileOptions &options = {},
                   BatchEngine engine = BatchEngine::Auto);
 

@@ -83,10 +83,16 @@ Result<std::unique_ptr<Network>>
 compileNetwork(const NetworkDef &def,
                const NetworkCompileOptions &options)
 {
+    return compileNetwork(def, analyzeNetwork(def), options);
+}
+
+Result<std::unique_ptr<Network>>
+compileNetwork(const NetworkDef &def, const NetAnalysis &analysis,
+               const NetworkCompileOptions &options)
+{
     if (options.recurrent && options.quantization)
         return Status::error(
             "quantized recurrent evaluation is not supported");
-    const NetAnalysis analysis = analyzeNetwork(def);
     if (Status invariants =
             checkDefInvariants(def, analysis, options.recurrent);
         !invariants.ok()) {

@@ -48,6 +48,11 @@ Result<std::unique_ptr<Network>>
 compileNetwork(const NetworkDef &def,
                const NetworkCompileOptions &options = {});
 
+/** compileNetwork() over the def's analysis (nn/layering.hh). */
+Result<std::unique_ptr<Network>>
+compileNetwork(const NetworkDef &def, const NetAnalysis &analysis,
+               const NetworkCompileOptions &options = {});
+
 /**
  * Structural invariants every compilable definition must satisfy:
  * unique node ids and connection keys, every output id defined,

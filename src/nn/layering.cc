@@ -19,10 +19,14 @@ groupConns(const std::vector<uint32_t> &key, size_t n,
         ++begin[d + 1];
     for (size_t d = 0; d < n; ++d)
         begin[d + 1] += begin[d];
-    std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+    // begin[d] is d's fill cursor; once filled it holds d's end, which
+    // is d + 1's begin, so one shift right restores the offsets.
     conns.resize(key.size());
     for (uint32_t k = 0; k < key.size(); ++k)
-        conns[fill[key[k]]++] = k;
+        conns[begin[key[k]]++] = k;
+    for (size_t d = n; d > 0; --d)
+        begin[d] = begin[d - 1];
+    begin[0] = 0;
 }
 
 } // namespace
@@ -49,27 +53,47 @@ NetAnalysis
 analyzeNetwork(const NetworkDef &def)
 {
     NetAnalysis a;
-    a.ids = def.inputIds;
+    // The id table comes from the declared ids. Connection endpoints
+    // resolve against it; one naming an undeclared id (never in a
+    // well-formed def) joins the table, and every endpoint is then
+    // resolved again against the re-sorted table.
+    a.ids.reserve(def.inputIds.size() + def.outputIds.size() +
+                  def.nodes.size());
+    a.ids.assign(def.inputIds.begin(), def.inputIds.end());
     a.ids.insert(a.ids.end(), def.outputIds.begin(), def.outputIds.end());
     for (const auto &node : def.nodes)
         a.ids.push_back(node.id);
-    for (const auto &c : def.conns) {
-        a.ids.push_back(c.from);
-        a.ids.push_back(c.to);
-    }
     std::sort(a.ids.begin(), a.ids.end());
     a.ids.erase(std::unique(a.ids.begin(), a.ids.end()), a.ids.end());
+    const size_t declared = a.ids.size();
+    auto declaredIndex = [&](int id) {
+        const auto end = a.ids.begin() + static_cast<long>(declared);
+        const auto it = std::lower_bound(a.ids.begin(), end, id);
+        if (it != end && *it == id)
+            return static_cast<uint32_t>(it - a.ids.begin());
+        a.ids.push_back(id);
+        return UINT32_MAX;
+    };
+    a.connSrc.reserve(def.conns.size());
+    a.connDst.reserve(def.conns.size());
+    for (const auto &c : def.conns) {
+        a.connSrc.push_back(declaredIndex(c.from));
+        a.connDst.push_back(declaredIndex(c.to));
+    }
+    if (a.ids.size() > declared) {
+        std::sort(a.ids.begin(), a.ids.end());
+        a.ids.erase(std::unique(a.ids.begin(), a.ids.end()),
+                    a.ids.end());
+        for (size_t k = 0; k < def.conns.size(); ++k) {
+            a.connSrc[k] = a.indexOf(def.conns[k].from);
+            a.connDst[k] = a.indexOf(def.conns[k].to);
+        }
+    }
     const size_t n = a.ids.size();
 
     a.isInput.assign(n, 0);
     for (int id : def.inputIds)
         a.isInput[a.indexOf(id)] = 1;
-    a.connSrc.reserve(def.conns.size());
-    a.connDst.reserve(def.conns.size());
-    for (const auto &c : def.conns) {
-        a.connSrc.push_back(a.indexOf(c.from));
-        a.connDst.push_back(a.indexOf(c.to));
-    }
     groupConns(a.connDst, n, a.ingressBegin, a.ingress);
     std::vector<uint32_t> egressBegin;
     std::vector<uint32_t> egress;

@@ -6,8 +6,9 @@
  * dense/dataflow analyses). INAX, GPU and CPU costing read the NetStats
  * distilled from it, so the generation replay never re-analyses a def.
  *
- * Cost, for N mentioned ids and E connections: sorting the ids into a
- * dense table is O((N + E) log N); CSR ingress/egress lists, the
+ * Cost, for N mentioned ids and E connections: sorting the declared
+ * ids into a dense table is O(N log N) and resolving the connection
+ * endpoints against it O(E log N); CSR ingress/egress lists, the
  * reverse DFS for required nodes and Kahn levelization are O(N + E).
  * Ordering: layers are neat-python's feed_forward_layers levels, ids
  * ascend within a layer, links follow def.conns order.

@@ -8,7 +8,12 @@ namespace e3 {
 NetStats
 computeNetStats(const NetworkDef &def)
 {
-    const NetAnalysis a = analyzeNetwork(def);
+    return computeNetStats(def, analyzeNetwork(def));
+}
+
+NetStats
+computeNetStats(const NetworkDef &def, const NetAnalysis &a)
+{
     NetStats stats;
 
     // Active nodes in execution order. Cyclic (recurrent) definitions

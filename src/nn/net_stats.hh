@@ -57,6 +57,10 @@ struct NetStats
 /** Compute structural statistics for a network definition. */
 NetStats computeNetStats(const NetworkDef &def);
 
+/** computeNetStats() over the def's analysis (nn/layering.hh). */
+NetStats computeNetStats(const NetworkDef &def,
+                         const NetAnalysis &analysis);
+
 /**
  * Activation density: the fraction of MAC operands that are non-zero
  * when the network runs on random inputs. Sigmoid nets are ~fully

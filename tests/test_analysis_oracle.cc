@@ -10,8 +10,9 @@
  *    evolutions.
  * Compared: required sets, layers, acyclicity, NetStats (density bit
  * for bit), invariant-check verdicts and messages, compiled slots and
- * links, bitwise outputs, the population and replicated BatchPlans,
- * and INAX costs. The evolved workloads themselves are pinned by
+ * links, bitwise outputs, the population and replicated BatchPlans
+ * (the population plan both analysing and over shared analyses), and
+ * INAX costs. The evolved workloads themselves are pinned by
  * digest.
  */
 
@@ -390,7 +391,8 @@ checkReplicatedPlan(const NetworkDef &def)
 
 /**
  * Population plan of the compilable defs with the first's arity, and
- * each def's replicated plan.
+ * each def's replicated plan. The plan compiled over the caller's
+ * analyses (the platform's shape) must equal the analysing form's.
  */
 void
 checkPlan(const std::vector<NetworkDef> &defs)
@@ -401,6 +403,14 @@ checkPlan(const std::vector<NetworkDef> &defs)
     const BatchPlan *plan = (*compiled)->plan();
     ASSERT_NE(plan, nullptr);
     expectSamePlan(*plan, reference::compilePlan(defs));
+
+    std::vector<NetAnalysis> analyses;
+    for (const NetworkDef &def : defs)
+        analyses.push_back(analyzeNetwork(def));
+    auto shared = compilePopulation(defs, analyses);
+    ASSERT_TRUE(shared.ok()) << shared.message();
+    ASSERT_NE((*shared)->plan(), nullptr);
+    expectSamePlan(*(*shared)->plan(), *plan);
     for (const NetworkDef &def : defs) {
         checkReplicatedPlan(def);
         if (::testing::Test::HasFailure())

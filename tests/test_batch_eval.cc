@@ -22,6 +22,7 @@
 #include "e3/synthetic.hh"
 #include "nn/batch_eval.hh"
 #include "nn/compile.hh"
+#include "nn/layering.hh"
 #include "nn/network.hh"
 #include "nn/quantize.hh"
 
@@ -378,6 +379,40 @@ TEST(BatchEval, CompileErrors)
     // ...but Auto routes them through the adapter.
     EXPECT_TRUE(
         compileReplicated(NetworkDef::empty(2, 1), 2, recur).ok());
+}
+
+TEST(BatchEval, AnalysisCountMismatchIsAnError)
+{
+    // The analysis-taking compile reads analyses[i] for defs[i]: a
+    // vector of any other length fails closed under every engine and
+    // option set, never indexing past its end.
+    const std::vector<NetworkDef> defs = randomizedPopulation(4, 31);
+    std::vector<NetAnalysis> analyses;
+    for (const NetworkDef &def : defs)
+        analyses.push_back(analyzeNetwork(def));
+    ASSERT_TRUE(compilePopulation(defs, analyses).ok());
+
+    NetworkCompileOptions quantized;
+    quantized.quantization = FixedPointFormat{};
+    for (const size_t count : {size_t{0}, size_t{3}, size_t{5}}) {
+        SCOPED_TRACE("analyses: " + std::to_string(count));
+        std::vector<NetAnalysis> wrong;
+        for (size_t i = 0; i < count; ++i)
+            wrong.push_back(analyses[i % analyses.size()]);
+        EXPECT_FALSE(BatchEvaluator::compile(defs, wrong).ok());
+        for (const BatchEngine engine :
+             {BatchEngine::Auto, BatchEngine::PerGenome}) {
+            for (const NetworkCompileOptions &options :
+                 {NetworkCompileOptions{}, quantized}) {
+                Result<std::unique_ptr<BatchNetwork>> batch =
+                    compilePopulation(defs, wrong, options, engine);
+                ASSERT_FALSE(batch.ok());
+                EXPECT_NE(batch.message().find("4 defs"),
+                          std::string::npos)
+                    << batch.message();
+            }
+        }
+    }
 }
 
 TEST(BatchEval, OversizedBatchIsAnErrorNotAnAllocation)

@@ -840,6 +840,81 @@ TEST(LintFlowRules, EntryPointWithSpanIsClean)
     EXPECT_FALSE(hasRule(diags, "E3L017"));
 }
 
+TEST(LintFlowRules, EntryPointWithBranchOnlySpanViolates)
+{
+    // A span some paths never open does not cover the entry point.
+    for (const char *body : {
+             "    if (traced) {\n"
+             "        obs::TraceSpan span(\"generation\");\n"
+             "    }\n",
+             "    if (!traced)\n"
+             "        return;\n"
+             "    else\n"
+             "        obs::TraceSpan span(\"generation\");\n",
+             "    if (traced) {\n"
+             "        loop();\n"
+             "    } else if (step) {\n"
+             "        obs::TraceSpan span(\"generation\");\n"
+             "    }\n",
+             "    switch (mode) {\n"
+             "      case 1: { obs::TraceSpan span(\"generation\"); }\n"
+             "    }\n",
+             "    try {\n"
+             "        loop();\n"
+             "    } catch (const std::exception &) {\n"
+             "        obs::TraceSpan span(\"generation\");\n"
+             "    }\n",
+         }) {
+        const auto diags =
+            lint("src/e3/platform.cc",
+                 std::string("void run(bool traced) {\n") + body + "}\n");
+        EXPECT_TRUE(hasRule(diags, "E3L017")) << body;
+    }
+}
+
+TEST(LintFlowRules, EntryPointWithLambdaOnlySpanViolates)
+{
+    const auto diags =
+        lint("src/e3/platform.cc",
+             "void run() {\n"
+             "    auto persist = [&] {\n"
+             "        obs::TraceSpan span(\"persist\");\n"
+             "    };\n"
+             "    loop();\n"
+             "}\n");
+    EXPECT_TRUE(hasRule(diags, "E3L017"));
+}
+
+TEST(LintFlowRules, EntryPointWithLoopOrBlockSpanIsClean)
+{
+    for (const char *body : {
+             "    for (int g = 0; g < n; ++g) {\n"
+             "        obs::TraceSpan span(\"generation\");\n"
+             "    }\n",
+             "    while (next())\n"
+             "        obs::TraceSpan span(\"generation\");\n",
+             "    {\n"
+             "        obs::TraceSpan span(\"generation\");\n"
+             "        loop();\n"
+             "    }\n",
+             "    if (traced)\n"
+             "        loop();\n"
+             "    else\n"
+             "        stop();\n"
+             "    obs::TraceSpan span(\"generation\");\n",
+             "    try {\n"
+             "        obs::TraceSpan span(\"generation\");\n"
+             "    } catch (const std::exception &) {\n"
+             "        stop();\n"
+             "    }\n",
+         }) {
+        const auto diags =
+            lint("src/e3/platform.cc",
+                 std::string("void run(bool traced) {\n") + body + "}\n");
+        EXPECT_FALSE(hasRule(diags, "E3L017")) << body;
+    }
+}
+
 // --- flow rules: E3L018 stale-waiver ---
 
 TEST(LintFlowRules, WaiverSuppressingNothingIsStale)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -447,6 +448,55 @@ TEST(Trace, EveryGenerationSpanHasACompileChild)
         }
         EXPECT_EQ(children, 1u) << "generation span at ts " << gen.ts;
     }
+}
+
+TEST(Trace, ChildSpansCoverEveryGeneration)
+{
+    // Every host-second of a generation belongs to a named phase: the
+    // direct children of each `generation` span (spans on its thread
+    // inside it, not inside another such span) cover at least 95% of
+    // it, on the software backend and on the INAX model.
+    TraceSandbox sandbox;
+    traceStart(TraceDetail::Phase);
+    PlatformConfig cfg;
+    cfg.envName = "lunar_lander";
+    cfg.populationSize = 150;
+    cfg.maxGenerations = 5;
+    std::vector<std::unique_ptr<EvalBackend>> backends;
+    backends.push_back(std::make_unique<CpuBackend>());
+    backends.push_back(std::make_unique<InaxBackend>(
+        InaxConfig::paperDefault(envSpec(cfg.envName).numOutputs)));
+    for (std::unique_ptr<EvalBackend> &backend : backends) {
+        E3Platform platform(cfg, std::move(backend));
+        EXPECT_EQ(platform.run().generations, cfg.maxGenerations);
+    }
+    const auto events = stopAndParse();
+    auto inside = [](const FlatEvent &inner, const FlatEvent &outer) {
+        return &inner != &outer && inner.ph == "X" &&
+               inner.pid == outer.pid && inner.tid == outer.tid &&
+               inner.ts >= outer.ts &&
+               inner.ts + inner.dur <= outer.ts + outer.dur + 1e-3;
+    };
+    size_t generations = 0;
+    for (const FlatEvent &gen : events) {
+        if (gen.ph != "X" || gen.name != "generation")
+            continue;
+        ++generations;
+        double covered = 0.0;
+        for (const FlatEvent &child : events) {
+            if (!inside(child, gen))
+                continue;
+            const bool direct = std::none_of(
+                events.begin(), events.end(), [&](const FlatEvent &mid) {
+                    return inside(mid, gen) && inside(child, mid);
+                });
+            covered += direct ? child.dur : 0.0;
+        }
+        EXPECT_GE(covered, 0.95 * gen.dur)
+            << "generation span at ts " << gen.ts << " lasts " << gen.dur
+            << " us; its child spans cover " << covered << " us";
+    }
+    EXPECT_EQ(generations, 2u * cfg.maxGenerations);
 }
 
 TEST(Trace, StopWritesAParsableFile)

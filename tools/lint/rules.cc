@@ -1110,21 +1110,98 @@ class ThrowEscapesLibrary : public Rule
 };
 
 /**
+ * Code index just past a control keyword's `(...)` starting at @p k,
+ * skipping an `if constexpr`'s `constexpr`.
+ */
+size_t
+afterCondition(const FileContext &ctx, size_t k, size_t limit)
+{
+    if (k < limit && isIdent(ctx.codeTok(k), "constexpr"))
+        ++k;
+    return k < limit && isPunct(ctx.codeTok(k), "(")
+               ? matchClose(ctx, k) + 1
+               : k;
+}
+
+/**
+ * Code index of the last token of the statement starting at @p i
+ * (its closing ';' or '}'), never past @p limit. Control statements
+ * take their whole body, an if its else chain, a try its handlers.
+ */
+size_t
+statementEnd(const FileContext &ctx, size_t i, size_t limit)
+{
+    if (i >= limit)
+        return limit;
+    const Token &t = ctx.codeTok(i);
+    if (isPunct(t, "{"))
+        return std::min(matchClose(ctx, i), limit);
+    if (isIdent(t, "for") || isIdent(t, "while") ||
+        isIdent(t, "switch") || isIdent(t, "if")) {
+        const size_t body = afterCondition(ctx, i + 1, limit);
+        size_t end = statementEnd(ctx, body, limit);
+        if (isIdent(t, "if") && end + 1 < limit &&
+            isIdent(ctx.codeTok(end + 1), "else"))
+            end = statementEnd(ctx, end + 2, limit);
+        return end;
+    }
+    if (isIdent(t, "try")) {
+        size_t end = statementEnd(ctx, i + 1, limit);
+        while (end + 1 < limit && isIdent(ctx.codeTok(end + 1), "catch")) {
+            const size_t handler = afterCondition(ctx, end + 2, limit);
+            end = statementEnd(ctx, handler, limit);
+        }
+        return end;
+    }
+    size_t k = isIdent(t, "do") ? statementEnd(ctx, i + 1, limit) + 1 : i;
+    for (; k < limit && !isPunct(ctx.codeTok(k), ";"); ++k) {
+        const Token &u = ctx.codeTok(k);
+        if (isPunct(u, "(") || isPunct(u, "[") || isPunct(u, "{"))
+            k = matchClose(ctx, k);
+    }
+    return std::min(k, limit);
+}
+
+/**
+ * Inclusive (first, last) code-index ranges of the statements in
+ * @p fn's body that an if, else, switch or catch runs on some paths
+ * only.
+ */
+std::vector<std::pair<size_t, size_t>>
+branchBodies(const FileContext &ctx, const FlowFunction &fn)
+{
+    std::vector<std::pair<size_t, size_t>> out;
+    for (size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
+        const Token &t = ctx.codeTok(i);
+        size_t body = i + 1;
+        if (isIdent(t, "if") || isIdent(t, "switch") ||
+            isIdent(t, "catch"))
+            body = afterCondition(ctx, body, fn.bodyEnd);
+        else if (!isIdent(t, "else"))
+            continue;
+        if (body < fn.bodyEnd)
+            out.emplace_back(body, statementEnd(ctx, body, fn.bodyEnd));
+    }
+    return out;
+}
+
+/**
  * E3L017 — phase-level entry points without a TraceSpan.
  *
  * The observability contract (DESIGN.md §6) is that every phase-level
  * subsystem entry emits a span, so a stalled generation or a slow
  * checkpoint shows up in the trace rather than in a debugger. The
- * table below names the entry points; a listed function with no
- * TraceSpan anywhere in its body fires.
+ * table below names the entry points; a listed function fires unless
+ * its body opens a TraceSpan outside every if/else/switch/catch branch
+ * and every lambda. Loop bodies and bare blocks count.
  */
 class MissingSpan : public Rule
 {
   public:
     MissingSpan()
         : Rule("E3L017", "missing-span", "span-ok",
-               "a phase-level subsystem entry point with no "
-               "obs::TraceSpan on any path")
+               "a phase-level subsystem entry point that opens no "
+               "obs::TraceSpan outside a branch or lambda")
     {
     }
 
@@ -1160,16 +1237,28 @@ class MissingSpan : public Rule
             for (const FlowFunction &fn : ctx.functions) {
                 if (fn.name != entry.function)
                     continue;
+                auto conditional = branchBodies(ctx, fn);
+                for (const auto &[open, close] : lambdaBodies(ctx, fn))
+                    conditional.emplace_back(open, close);
                 bool hasSpan = false;
                 for (size_t i = fn.bodyBegin;
-                     i < fn.bodyEnd && !hasSpan; ++i)
-                    hasSpan = isIdent(ctx.codeTok(i), "TraceSpan");
+                     i < fn.bodyEnd && !hasSpan; ++i) {
+                    hasSpan =
+                        isIdent(ctx.codeTok(i), "TraceSpan") &&
+                        std::none_of(conditional.begin(),
+                                     conditional.end(),
+                                     [&](const auto &range) {
+                                         return i >= range.first &&
+                                                i <= range.second;
+                                     });
+                }
                 if (!hasSpan) {
                     out.push_back(diag(
                         ctx, fn.line,
                         "'" + fn.name +
                             "' is a phase-level entry point but "
-                            "opens no TraceSpan"));
+                            "opens no TraceSpan outside a branch or "
+                            "lambda"));
                 }
             }
         }
