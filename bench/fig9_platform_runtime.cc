@@ -39,7 +39,7 @@ runtimeScalingSection()
     TextTable table("Parallel evaluation runtime (real wall-clock, "
                     "cartpole pop=200)");
     table.header({"threads", "wall(s)", "speedup", "best",
-                  "tasks stolen"});
+                  "idle(s)"});
 
     ExperimentOptions base;
     base.populationSize = 200;
@@ -60,7 +60,7 @@ runtimeScalingSection()
                        : "1.00x",
                    TextTable::num(r.bestFitness, 2),
                    TextTable::num(r.runtimeCounters.get(
-                       "runtime.tasks_stolen"), 0)});
+                       "runtime.idle_seconds"), 3)});
         return wall;
     };
 

@@ -46,22 +46,6 @@ canonicalConfig(const PlatformConfig &cfg)
     return oss.str();
 }
 
-persist::TraceRow
-toTraceRow(const GenerationPoint &p)
-{
-    persist::TraceRow row;
-    row.generation = p.generation;
-    row.bestFitness = p.bestFitness;
-    row.meanFitness = p.meanFitness;
-    row.normalizedBest = p.normalizedBest;
-    row.cumulativeSeconds = p.cumulativeSeconds;
-    row.meanNodes = p.meanNodes;
-    row.meanConnections = p.meanConnections;
-    row.meanDensity = p.meanDensity;
-    row.numSpecies = p.numSpecies;
-    return row;
-}
-
 /** First error diagnostic of a report, formatted for a warn() line. */
 std::string
 firstErrorLine(const verify::Report &report)
@@ -72,22 +56,6 @@ firstErrorLine(const verify::Report &report)
         return d.ruleId + " [" + d.locus + "] " + d.message;
     }
     return {};
-}
-
-GenerationPoint
-fromTraceRow(const persist::TraceRow &row)
-{
-    GenerationPoint p;
-    p.generation = row.generation;
-    p.bestFitness = row.bestFitness;
-    p.meanFitness = row.meanFitness;
-    p.normalizedBest = row.normalizedBest;
-    p.cumulativeSeconds = row.cumulativeSeconds;
-    p.meanNodes = row.meanNodes;
-    p.meanConnections = row.meanConnections;
-    p.meanDensity = row.meanDensity;
-    p.numSpecies = row.numSpecies;
-    return p;
 }
 
 } // namespace
@@ -163,6 +131,7 @@ E3Platform::evaluateFunctional(Population &pop, GenerationTrace &trace,
     {
         obs::TraceSpan span("compile");
         NetworkCompileOptions compileOpts;
+        compileOpts.recurrent = !neatCfg_.feedForward;
         compileOpts.quantization = cfg_.quantization;
         Result<std::unique_ptr<BatchNetwork>> compiled =
             compilePopulation(defs, analyses, compileOpts);
@@ -292,9 +261,7 @@ E3Platform::run()
                 }
                 for (const auto &[phase, seconds] : ck.phaseSeconds)
                     result.modeled.add(phase, seconds);
-                result.trace.reserve(ck.trace.size());
-                for (const persist::TraceRow &row : ck.trace)
-                    result.trace.push_back(fromTraceRow(row));
+                result.trace = std::move(ck.trace);
                 result.generations =
                     static_cast<int>(result.trace.size());
                 inform("resumed '", cfg_.envName, "' from '",
@@ -366,9 +333,7 @@ E3Platform::run()
         for (const std::string &phase : result.modeled.phases())
             ck.phaseSeconds.emplace_back(
                 phase, result.modeled.seconds(phase));
-        ck.trace.reserve(result.trace.size());
-        for (const GenerationPoint &point : result.trace)
-            ck.trace.push_back(toTraceRow(point));
+        ck.trace = result.trace;
         persist::WriteStats stats;
         Status written = persist::writeCheckpoint(
             cfg_.checkpointDir, ck, cfg_.checkpointKeep, &stats);

@@ -24,6 +24,7 @@
 #include "neat/population.hh"
 #include "nn/quantize.hh"
 #include "obs/metrics.hh"
+#include "persist/checkpoint.hh"
 #include "runtime/parallel_eval.hh"
 #include "verify/diagnostics.hh"
 
@@ -90,18 +91,7 @@ struct PlatformConfig
 };
 
 /** One generation's summary point (the Fig. 2(d) trace). */
-struct GenerationPoint
-{
-    int generation = 0;
-    double bestFitness = 0.0;
-    double meanFitness = 0.0;
-    double normalizedBest = 0.0; ///< against the env's required fitness
-    double cumulativeSeconds = 0.0; ///< modeled platform time so far
-    double meanNodes = 0.0;
-    double meanConnections = 0.0;
-    double meanDensity = 0.0;
-    size_t numSpecies = 0;
-};
+using GenerationPoint = persist::TraceRow;
 
 /** Result of one E3 run. */
 struct RunResult
@@ -116,7 +106,7 @@ struct RunResult
     std::vector<GenerationPoint> trace;
     EnergyBreakdownInput energyInput;
     InaxReport inaxReport;       ///< populated by the INAX backend
-    /** Worker utilization (tasks run/stolen, idle s); empty if serial. */
+    /** Pool utilization (tasks run, idle seconds per thread). */
     Counters runtimeCounters;
 
     /**

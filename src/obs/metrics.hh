@@ -5,7 +5,7 @@
  * One registry per run unifies everything the platform already counts
  * — modeled phase seconds (common/timing), runtime pool counters
  * (common/stats), fitness/species statistics — under dot-scoped names
- * ("modeled.evaluate_seconds", "runtime.tasks_stolen", ...), and cuts
+ * ("modeled.evaluate_seconds", "runtime.idle_seconds", ...), and cuts
  * a snapshot row per generation. Counter metrics snapshot the *delta*
  * since the previous snapshot (so each generation's row is isolated);
  * gauge metrics snapshot their current value. Export as wide CSV (one

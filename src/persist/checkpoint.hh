@@ -46,18 +46,23 @@ namespace persist {
 /** Bump when the on-disk layout changes incompatibly. */
 inline constexpr int kFormatVersion = 1;
 
-/** One per-generation point of the run's fitness trace. */
+/**
+ * One per-generation point of the run's fitness trace (the Fig. 2(d)
+ * trace; the platform calls it GenerationPoint).
+ */
 struct TraceRow
 {
     int generation = 0;
     double bestFitness = 0.0;
     double meanFitness = 0.0;
-    double normalizedBest = 0.0;
-    double cumulativeSeconds = 0.0;
+    double normalizedBest = 0.0; ///< against the env's required fitness
+    double cumulativeSeconds = 0.0; ///< modeled platform time so far
     double meanNodes = 0.0;
     double meanConnections = 0.0;
     double meanDensity = 0.0;
     size_t numSpecies = 0;
+
+    bool operator==(const TraceRow &) const = default;
 };
 
 /** Complete snapshot of one evolve loop between generations. */

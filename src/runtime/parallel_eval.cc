@@ -1,17 +1,16 @@
 #include "runtime/parallel_eval.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
 namespace e3::runtime {
 
-ParallelEval::ParallelEval(const RuntimeConfig &cfg) : cfg_(cfg)
+ParallelEval::ParallelEval(const RuntimeConfig &cfg)
+    : cfg_(cfg), pool_(std::max<size_t>(cfg.threads, 1))
 {
-    if (cfg_.threads > 1)
-        pool_ = std::make_unique<ThreadPool>(cfg_.threads);
 }
-
-ParallelEval::~ParallelEval() = default;
 
 void
 ParallelEval::runLane(const EvalPlan &plan,
@@ -63,14 +62,9 @@ ParallelEval::evaluate(const EvalPlan &plan)
 
     {
         obs::TraceSpan span("rollout");
-        if (pool_) {
-            pool_->parallelFor(plan.lanes, [&](size_t i) {
-                runLane(plan, venvs, out, i);
-            });
-        } else {
-            for (size_t i = 0; i < plan.lanes; ++i)
-                runLane(plan, venvs, out, i);
-        }
+        pool_.parallelFor(plan.lanes, [&](size_t i) {
+            runLane(plan, venvs, out, i);
+        });
     }
 
     // Determinism sentinel: fold every lane's stream digest in fixed
@@ -101,8 +95,7 @@ Counters
 ParallelEval::counters() const
 {
     Counters out;
-    if (pool_)
-        pool_->exportCounters(out);
+    pool_.exportCounters(out);
     return out;
 }
 

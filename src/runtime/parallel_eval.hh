@@ -1,16 +1,16 @@
 /**
  * @file
- * Parallel population evaluation with a bit-identical serial fallback.
+ * Parallel population evaluation, bit-identical at every thread count.
  *
  * One evaluation "lane" per individual: the lane rolls its episodes to
- * completion on whichever worker picks it up. Determinism comes from
+ * completion on whichever pool thread claims it. Determinism comes from
  * stream isolation, not scheduling: every lane's RNG stream is derived
  * up front by the VectorEnv constructor (a pure function of the
  * episode seed and the lane index — and the lane order is the genome
  * key order, so effectively of (seed, generation, genome key)), lanes
  * never share mutable state, and results land in per-lane slots. Any
- * worker count, including the serial threads<=1 path, produces the
- * same bits.
+ * thread count, including one (every lane on the caller), produces
+ * the same bits.
  */
 
 #ifndef E3_RUNTIME_PARALLEL_EVAL_HH
@@ -28,7 +28,7 @@ namespace e3::runtime {
 /** Execution knobs of the evaluation runtime. */
 struct RuntimeConfig
 {
-    /** Worker threads; <= 1 keeps everything on the calling thread. */
+    /** Pool threads; <= 1 runs every lane on the calling thread. */
     size_t threads = 1;
 };
 
@@ -69,14 +69,13 @@ class ParallelEval
 {
   public:
     explicit ParallelEval(const RuntimeConfig &cfg);
-    ~ParallelEval();
 
     /** Evaluate every lane; blocks until fan-in. */
     EvalOutcome evaluate(const EvalPlan &plan);
 
     size_t threads() const { return cfg_.threads; }
 
-    /** Pool utilization counters accumulated so far (empty if serial). */
+    /** Pool utilization counters accumulated so far. */
     Counters counters() const;
 
     /**
@@ -95,7 +94,7 @@ class ParallelEval
                  EvalOutcome &out, size_t lane) const;
 
     RuntimeConfig cfg_;
-    std::unique_ptr<ThreadPool> pool_; ///< null on the serial path
+    ThreadPool pool_;
     RngAudit audit_; ///< fold of every evaluation's rngAudit
 };
 

@@ -2,216 +2,139 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
 namespace e3::runtime {
 
-ThreadPool::ThreadPool(size_t workers)
+namespace {
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
 {
-    e3_assert(workers >= 1, "thread pool needs at least one worker");
-    workers_.reserve(workers);
-    for (size_t i = 0; i < workers; ++i)
+    const std::chrono::duration<double> elapsed =
+        // e3-lint: wall-clock-ok -- idle-time measurement; never feeds RNG
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count();
+}
+
+} // namespace
+
+ThreadPool::ThreadPool(size_t threads)
+{
+    e3_assert(threads >= 1, "thread pool needs at least one thread");
+    workers_.reserve(threads);
+    for (size_t i = 0; i < threads; ++i)
         workers_.push_back(std::make_unique<Worker>());
-    threads_.reserve(workers);
-    for (size_t i = 0; i < workers; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+    helpers_.reserve(threads - 1);
+    for (size_t i = 1; i < threads; ++i)
+        helpers_.emplace_back([this, i] { helperLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        MutexLock lock(sleepMutex_);
+        MutexLock lock(mutex_);
         stop_ = true;
     }
-    workAvailable_.notify_all();
-    for (auto &thread : threads_)
+    posted_.notify_all();
+    for (auto &thread : helpers_)
         thread.join();
 }
 
 void
-ThreadPool::enqueue(size_t worker, Task task)
+ThreadPool::runBlocks(size_t worker)
 {
-    e3_assert(worker < workers_.size(), "worker ", worker,
-              " out of range");
-    {
-        Worker &target = *workers_[worker];
-        MutexLock lock(target.mutex);
-        target.deque.push_back(std::move(task));
+    // e3-lint: wall-clock-ok -- idle-time measurement; never feeds RNG
+    const auto start = std::chrono::steady_clock::now();
+    uint64_t ran = 0;
+    // Claims and counters need only atomicity: the loop itself is
+    // published, and the results joined, under mutex_.
+    while (!failed_.load(std::memory_order_relaxed)) {
+        const size_t lo = next_.fetch_add(block_, std::memory_order_relaxed);
+        if (lo >= n_)
+            break;
+        const size_t hi = std::min(n_, lo + block_);
+        try {
+            for (size_t i = lo; i < hi; ++i, ++ran)
+                (*body_)(i);
+        } catch (...) {
+            failed_.store(true, std::memory_order_relaxed);
+            MutexLock lock(mutex_);
+            if (!error_)
+                error_ = std::current_exception();
+        }
     }
-    const int64_t depth =
-        queued_.fetch_add(1, std::memory_order_relaxed) + 1;
-    obs::traceCounter("pool.queued", static_cast<double>(depth),
-                      obs::TraceDetail::Task);
-    {
-        MutexLock lock(sleepMutex_);
-        ++epoch_;
-    }
-    workAvailable_.notify_all();
+    Worker &self = *workers_[worker];
+    self.tasksRun.fetch_add(ran, std::memory_order_relaxed);
+    self.busySeconds = secondsSince(start);
 }
 
 void
-ThreadPool::submitTo(size_t worker, Task task)
-{
-    enqueue(worker, std::move(task));
-}
-
-bool
-ThreadPool::popOwn(size_t index, Task &task)
-{
-    Worker &self = *workers_[index];
-    MutexLock lock(self.mutex);
-    if (self.deque.empty())
-        return false;
-    task = std::move(self.deque.front());
-    self.deque.pop_front();
-    // Counted at claim time, under the deque lock: whoever observes a
-    // later claim from this deque also sees this task counted.
-    self.tasksRun.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-ThreadPool::stealFrom(size_t thief, Task &task)
-{
-    const size_t n = workers_.size();
-    for (size_t k = 1; k < n; ++k) {
-        Worker &victim = *workers_[(thief + k) % n];
-        MutexLock lock(victim.mutex);
-        if (victim.deque.empty())
-            continue;
-        task = std::move(victim.deque.back());
-        victim.deque.pop_back();
-        workers_[thief]->tasksRun.fetch_add(
-            1, std::memory_order_relaxed);
-        workers_[thief]->tasksStolen.fetch_add(
-            1, std::memory_order_relaxed);
-        obs::traceInstant("steal", obs::TraceDetail::Task);
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(size_t index)
+ThreadPool::helperLoop(size_t index)
 {
     obs::traceSetThreadName("worker" + std::to_string(index));
-    Worker &self = *workers_[index];
+    uint64_t seen = 0;
     for (;;) {
-        uint64_t seen;
         {
-            MutexLock lock(sleepMutex_);
+            MutexLock lock(mutex_);
+            while (!stop_ && epoch_ == seen)
+                posted_.wait(lock);
             if (stop_)
                 return;
             seen = epoch_;
         }
-
-        Task task;
-        if (popOwn(index, task) || stealFrom(index, task)) {
-            const int64_t depth =
-                queued_.fetch_sub(1, std::memory_order_relaxed) - 1;
-            obs::traceCounter("pool.queued",
-                              static_cast<double>(depth),
-                              obs::TraceDetail::Task);
-            {
-                obs::TraceSpan span("task", obs::TraceDetail::Task);
-                task();
-            }
-            continue;
-        }
-
-        // Nothing anywhere: sleep until a submit bumps the epoch. A
-        // task pushed after the scan above bumped the epoch past
-        // `seen`, so the predicate fails and we rescan immediately.
-        MutexLock lock(sleepMutex_);
-        // e3-lint: wall-clock-ok -- idle-time measurement; never feeds RNG
-        const auto idleStart = std::chrono::steady_clock::now();
-        while (!stop_ && epoch_ == seen)
-            workAvailable_.wait(lock);
-        const std::chrono::duration<double> idle =
-            // e3-lint: wall-clock-ok -- idle-time measurement; never feeds RNG
-            std::chrono::steady_clock::now() - idleStart;
-        self.idleSeconds.fetch_add(idle.count(),
-                                   std::memory_order_relaxed);
-        if (stop_)
-            return;
+        runBlocks(index);
+        // Checking out under the lock publishes this helper's results
+        // and busySeconds to the caller waiting in parallelFor.
+        MutexLock lock(mutex_);
+        if (--running_ == 0)
+            joined_.notify_one();
     }
 }
 
 void
 ThreadPool::parallelFor(size_t n,
-                        const std::function<void(size_t)> &body,
-                        size_t grain)
+                        const std::function<void(size_t)> &body)
 {
     if (n == 0)
         return;
-    e3_assert(grain >= 1, "parallelFor grain must be >= 1");
 
-    struct Batch
+    // e3-lint: wall-clock-ok -- idle-time measurement; never feeds RNG
+    const auto start = std::chrono::steady_clock::now();
     {
-        Batch(const std::function<void(size_t)> &body, size_t n,
-              size_t grain)
-            : body(body), n(n), grain(grain)
-        {
-        }
+        MutexLock lock(mutex_);
+        body_ = &body;
+        n_ = n;
+        block_ = std::max<size_t>(1, n / (4 * workers_.size()));
+        next_.store(0, std::memory_order_relaxed);
+        failed_.store(false, std::memory_order_relaxed);
+        error_ = nullptr;
+        running_ = helpers_.size();
+        ++epoch_;
+    }
+    posted_.notify_all();
+    runBlocks(0);
 
-        const std::function<void(size_t)> &body;
-        const size_t n;
-        const size_t grain;
-        Mutex mutex;
-        CondVar done;
-        size_t remaining E3_GUARDED_BY(mutex) = 0;
-        std::exception_ptr error E3_GUARDED_BY(mutex);
-        std::atomic<bool> failed{false};
-
-        void
-        runChunk(size_t c)
-        {
-            std::exception_ptr chunkError;
-            if (!failed.load(std::memory_order_relaxed)) {
-                try {
-                    const size_t hi = std::min(n, (c + 1) * grain);
-                    for (size_t i = c * grain; i < hi; ++i)
-                        body(i);
-                } catch (...) {
-                    chunkError = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            }
-            // Decrement and notify under one lock hold: the waiter can
-            // only observe remaining == 0 after this task released the
-            // mutex and will never touch the batch again.
-            MutexLock lock(mutex);
-            if (chunkError && !error)
-                error = chunkError;
-            if (--remaining == 0)
-                done.notify_all();
-        }
-    } batch(body, n, grain);
-    const size_t chunks = (n + grain - 1) / grain;
+    // Every helper checks in, even one that woke to an exhausted
+    // counter, so the loop's idle time is booked before returning.
+    std::exception_ptr error;
     {
-        MutexLock lock(batch.mutex);
-        batch.remaining = chunks;
+        MutexLock lock(mutex_);
+        while (running_ != 0)
+            joined_.wait(lock);
+        error = error_;
+        body_ = nullptr;
     }
-
-    for (size_t c = 0; c < chunks; ++c) {
-        auto task = [&batch, c] { batch.runChunk(c); };
-        // Inline in std::function, so no per-chunk heap closure whose
-        // memory a worker reuses for its per-step vectors (DESIGN §7).
-        static_assert(sizeof(task) <= 2 * sizeof(void *),
-                      "parallelFor chunk task must stay inline");
-        // Deterministic deal: chunk c always starts on deque c % W;
-        // stealing may move it, but results are index-disjoint.
-        submitTo(c % workers_.size(), task);
+    const double span = secondsSince(start);
+    for (const auto &worker : workers_) {
+        worker->idleSeconds.fetch_add(
+            std::max(0.0, span - worker->busySeconds),
+            std::memory_order_relaxed);
     }
-
-    MutexLock lock(batch.mutex);
-    while (batch.remaining != 0)
-        batch.done.wait(lock);
-    if (batch.error)
-        std::rethrow_exception(batch.error);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 std::vector<WorkerStats>
@@ -222,10 +145,7 @@ ThreadPool::stats() const
     for (const auto &worker : workers_) {
         WorkerStats ws;
         ws.tasksRun = worker->tasksRun.load(std::memory_order_relaxed);
-        ws.tasksStolen =
-            worker->tasksStolen.load(std::memory_order_relaxed);
-        ws.idleSeconds =
-            worker->idleSeconds.load(std::memory_order_relaxed);
+        ws.idleSeconds = worker->idleSeconds.load(std::memory_order_relaxed);
         out.push_back(ws);
     }
     return out;
@@ -235,26 +155,19 @@ void
 ThreadPool::exportCounters(Counters &out,
                            const std::string &prefix) const
 {
+    double run = 0.0;
+    double idle = 0.0;
     const std::vector<WorkerStats> all = stats();
     for (size_t i = 0; i < all.size(); ++i) {
         const std::string base =
             prefix + "worker" + std::to_string(i) + ".";
         out.add(base + "tasks_run",
                 static_cast<double>(all[i].tasksRun));
-        out.add(base + "tasks_stolen",
-                static_cast<double>(all[i].tasksStolen));
         out.add(base + "idle_seconds", all[i].idleSeconds);
-    }
-    double run = 0.0;
-    double stolen = 0.0;
-    double idle = 0.0;
-    for (const auto &ws : all) {
-        run += static_cast<double>(ws.tasksRun);
-        stolen += static_cast<double>(ws.tasksStolen);
-        idle += ws.idleSeconds;
+        run += static_cast<double>(all[i].tasksRun);
+        idle += all[i].idleSeconds;
     }
     out.add(prefix + "tasks_run", run);
-    out.add(prefix + "tasks_stolen", stolen);
     out.add(prefix + "idle_seconds", idle);
 }
 

@@ -1,20 +1,20 @@
 /**
  * @file
- * Fixed-size worker pool with one work-stealing deque per worker.
+ * Fixed-size pool that runs one parallel loop at a time.
  *
  * The evaluate phase is embarrassingly parallel — one episode per
  * individual, each terminating on its own schedule (paper Sec. V-B) —
  * but episode lengths vary wildly (the irregularity of Fig. 4), so a
- * static partition of lanes leaves workers idle behind the longest
- * episodes. Each worker therefore owns a deque: tasks are dealt
- * round-robin at enqueue time (a deterministic initial placement),
- * owners pop oldest-first, and an idle worker steals from the back of
- * a victim's deque. Stealing only moves *where* a task executes; tasks
- * write disjoint results, so outcomes are schedule-independent.
+ * static partition of lanes leaves threads idle behind the longest
+ * episodes. parallelFor therefore balances dynamically: the caller and
+ * the helper threads claim contiguous blocks of indices from one
+ * shared atomic counter until none is left. Claiming only moves
+ * *where* an index executes; indices write disjoint results, so
+ * outcomes are schedule-independent.
  *
- * Per-worker counters (tasks run, tasks stolen, idle seconds) feed the
- * utilization accounting in common/stats — the software analogue of
- * the paper's U(PE)/U(PU) hardware counters.
+ * Per-thread counters (indices run, idle seconds) feed the utilization
+ * accounting in common/stats — the software analogue of the paper's
+ * U(PE)/U(PU) hardware counters.
  */
 
 #ifndef E3_RUNTIME_THREAD_POOL_HH
@@ -22,7 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -33,24 +33,26 @@
 
 namespace e3::runtime {
 
-/** Execution counters of one pool worker. */
+/** Execution counters of one pool thread (thread 0 is the caller). */
 struct WorkerStats
 {
-    uint64_t tasksRun = 0;    ///< tasks executed by this worker
-    uint64_t tasksStolen = 0; ///< subset of tasksRun taken from a victim
-    double idleSeconds = 0.0; ///< time spent waiting for work
+    uint64_t tasksRun = 0; ///< loop indices this thread ran
+    /** Time inside a parallelFor with nothing left to claim. */
+    double idleSeconds = 0.0;
 };
 
-/** Fixed set of worker threads with per-worker work-stealing deques. */
+/** The caller plus threads-1 helpers, sharing one loop at a time. */
 class ThreadPool
 {
   public:
-    using Task = std::function<void()>;
+    /**
+     * A pool of @p threads (at least one): the calling thread of each
+     * parallelFor plus threads-1 helper threads spawned here. One
+     * thread runs every loop inline on the caller.
+     */
+    explicit ThreadPool(size_t threads);
 
-    /** Spawn @p workers threads (at least one). */
-    explicit ThreadPool(size_t workers);
-
-    /** Stops and joins all workers. @pre no batch is still in flight. */
+    /** Stops and joins the helpers. @pre no parallelFor in flight. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -58,28 +60,26 @@ class ThreadPool
 
     size_t workerCount() const { return workers_.size(); }
 
-    /** Enqueue a task on a specific worker's deque. */
-    void submitTo(size_t worker, Task task);
-
     /**
      * Deterministic fan-out/fan-in: run body(i) for every i in [0, n)
-     * and block until all iterations finished. Iterations are chunked
-     * by @p grain, dealt round-robin across the worker deques, and may
-     * be stolen. The caller must ensure iterations write disjoint
-     * state; then the result is identical for every worker count and
-     * schedule. The first exception thrown by an iteration is
-     * rethrown here (remaining iterations may be skipped).
+     * and return once every thread has left the loop. The caller and
+     * the helpers claim contiguous blocks of about n / (4 * threads)
+     * indices until none is left. The caller must ensure iterations
+     * write disjoint state; then the result is identical for every
+     * thread count and schedule. The first exception thrown by an
+     * iteration is rethrown here (remaining iterations may be
+     * skipped). One loop at a time: not reentrant, and not to be
+     * called from two threads at once.
      */
-    void parallelFor(size_t n, const std::function<void(size_t)> &body,
-                     size_t grain = 1);
+    void parallelFor(size_t n, const std::function<void(size_t)> &body);
 
-    /** Snapshot of every worker's counters. */
+    /** Snapshot of every thread's counters. */
     std::vector<WorkerStats> stats() const;
 
     /**
-     * Export worker counters into a stat group:
-     * `<prefix>worker<i>.tasks_run|tasks_stolen|idle_seconds` plus
-     * `<prefix>tasks_run|tasks_stolen|idle_seconds` totals.
+     * Export thread counters into a stat group:
+     * `<prefix>worker<i>.tasks_run|idle_seconds` plus
+     * `<prefix>tasks_run|idle_seconds` totals.
      */
     void exportCounters(Counters &out,
                         const std::string &prefix = "runtime.") const;
@@ -87,29 +87,34 @@ class ThreadPool
   private:
     struct Worker
     {
-        mutable Mutex mutex;
-        std::deque<Task> deque E3_GUARDED_BY(mutex);
         std::atomic<uint64_t> tasksRun{0};
-        std::atomic<uint64_t> tasksStolen{0};
         std::atomic<double> idleSeconds{0.0};
+        /** Seconds spent claiming and running in the current loop. */
+        double busySeconds = 0.0;
     };
 
-    void workerLoop(size_t index);
-    bool popOwn(size_t index, Task &task);
-    bool stealFrom(size_t thief, Task &task);
-    void enqueue(size_t worker, Task task);
+    void helperLoop(size_t index);
+    /** Claim and run blocks of the current loop until none is left. */
+    void runBlocks(size_t worker);
 
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::thread> threads_;
 
-    /** Sleep/wake protocol: epoch bumps on every submit. */
-    Mutex sleepMutex_;
-    CondVar workAvailable_;
-    uint64_t epoch_ E3_GUARDED_BY(sleepMutex_) = 0;
-    bool stop_ E3_GUARDED_BY(sleepMutex_) = false;
+    /** The current loop; set under mutex_ before each epoch bump. */
+    const std::function<void(size_t)> *body_ = nullptr;
+    size_t n_ = 0;
+    size_t block_ = 1;
+    std::atomic<size_t> next_{0}; ///< first unclaimed index
+    std::atomic<bool> failed_{false};
 
-    /** Tasks submitted but not yet claimed (trace queue-depth track). */
-    std::atomic<int64_t> queued_{0};
+    Mutex mutex_;
+    CondVar posted_; ///< helpers wait for a new epoch
+    CondVar joined_; ///< the caller waits for running_ == 0
+    uint64_t epoch_ E3_GUARDED_BY(mutex_) = 0;
+    size_t running_ E3_GUARDED_BY(mutex_) = 0; ///< helpers still in
+    bool stop_ E3_GUARDED_BY(mutex_) = false;
+    std::exception_ptr error_ E3_GUARDED_BY(mutex_);
+
+    std::vector<std::thread> helpers_; ///< last: they use all the above
 };
 
 } // namespace e3::runtime

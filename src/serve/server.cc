@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <thread>
 
 #include "common/hot.hh"
 #include "common/logging.hh"
@@ -366,8 +368,25 @@ ChampionServer::acceptLoop()
     obs::traceSetThreadName("serve-accept");
     for (;;) {
         const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            return; // listener closed: shutting down
+        if (fd < 0) {
+            const int err = errno;
+            {
+                MutexLock lock(connectionsMutex_);
+                if (stopped_)
+                    return; // stop() closed the listener
+            }
+            {
+                MutexLock lock(countersMutex_);
+                ++counters_.acceptErrors;
+            }
+            // An interrupted call or a client that gave up before we
+            // took it retries at once; anything else (out of fds,
+            // buffers or memory) waits briefly so the loop does not
+            // spin while resources are exhausted.
+            if (err != EINTR && err != ECONNABORTED)
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            continue;
+        }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         auto conn = std::make_shared<Connection>();
@@ -510,6 +529,8 @@ ChampionServer::exportMetrics(obs::MetricsRegistry &registry) const
                         static_cast<double>(c.rejectedDraining));
     registry.setCounter("serve.protocol_errors",
                         static_cast<double>(c.protocolErrors));
+    registry.setCounter("serve.accept_errors",
+                        static_cast<double>(c.acceptErrors));
 
     const BatcherStats b = batcherStats();
     registry.setCounter("serve.batches",

@@ -98,6 +98,7 @@ struct ServerCounters
     uint64_t rejectedBadRequest = 0;
     uint64_t rejectedDraining = 0;
     uint64_t protocolErrors = 0; ///< undecodable TCP payloads
+    uint64_t acceptErrors = 0;   ///< failed accept() calls, retried
 };
 
 class ChampionServer

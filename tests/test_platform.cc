@@ -126,6 +126,28 @@ TEST(Platform, MultiEpisodeEvaluationAveragesFitness)
     EXPECT_GT(r.totalSeconds(), 0.0);
 }
 
+TEST(Platform, RecurrentRunIsIdenticalAcrossThreadCounts)
+{
+    // With feed-forward off, evolution closes cycles, so the
+    // population must compile to recurrent lanes. Such a run is as
+    // deterministic across thread counts as a feed-forward one.
+    auto runWith = [](size_t threads) {
+        PlatformConfig cfg = smallConfig("cartpole");
+        cfg.seed = 1;
+        cfg.populationSize = 50;
+        cfg.maxGenerations = 10;
+        cfg.threads = threads;
+        E3Platform platform(cfg, std::make_unique<CpuBackend>());
+        platform.neatConfig().feedForward = false;
+        return platform.run();
+    };
+    const RunResult serial = runWith(1);
+    const RunResult threaded = runWith(4);
+    EXPECT_GE(serial.generations, 2);
+    EXPECT_EQ(serial.trace, threaded.trace);
+    EXPECT_EQ(serial.rngAudit, threaded.rngAudit);
+}
+
 TEST(Experiment, RunExperimentWiring)
 {
     ExperimentOptions opt;

@@ -1,7 +1,7 @@
 /**
  * @file
- * src/runtime: worker pool lifecycle, exception propagation, work
- * stealing, and the determinism contract — the parallel evaluator must
+ * src/runtime: pool lifecycle, exception propagation, block claiming,
+ * idle booking, and the determinism contract — the parallel evaluator must
  * produce bit-identical results to the serial path for every thread
  * count.
  */
@@ -9,8 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "e3/experiment.hh"
@@ -40,17 +41,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, ParallelForGrainChunksCoverEverything)
-{
-    ThreadPool pool(3);
-    const size_t n = 1001; // deliberately not a multiple of the grain
-    std::vector<int> out(n, 0);
-    pool.parallelFor(n, [&](size_t i) { out[i] = static_cast<int>(i); },
-                     /*grain=*/64);
-    for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(out[i], static_cast<int>(i));
-}
-
 TEST(ThreadPool, ParallelForPropagatesException)
 {
     ThreadPool pool(4);
@@ -70,28 +60,60 @@ TEST(ThreadPool, ParallelForPropagatesException)
     EXPECT_EQ(count.load(), 100u);
 }
 
-TEST(ThreadPool, IdleWorkerStealsFromBusyVictim)
+TEST(ThreadPool, BlockedIndexDoesNotStallOtherBlocks)
+{
+    // Blocks are n / (4 * threads) = 2 indices. Index 0 holds its
+    // thread until every index outside its block has run, which is
+    // only possible if the other thread keeps claiming blocks.
+    ThreadPool pool(2);
+    constexpr size_t n = 16;
+    std::atomic<size_t> others{0};
+    bool released = false;
+    pool.parallelFor(n, [&](size_t i) {
+        if (i == 0) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (others.load() < n - 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            released = others.load() == n - 2;
+        } else if (i >= 2) {
+            others.fetch_add(1);
+        }
+    });
+    EXPECT_TRUE(released);
+}
+
+TEST(ThreadPool, IdleTimeIsBookedBeforeParallelForReturns)
 {
     ThreadPool pool(2);
+    auto totalIdle = [&pool] {
+        double idle = 0.0;
+        for (const WorkerStats &ws : pool.stats())
+            idle += ws.idleSeconds;
+        return idle;
+    };
+    pool.parallelFor(2, [](size_t) {}); // warm-up: helper running
+    const double before = totalIdle();
+    // One thread sleeps on index 0; the other runs index 1 and then
+    // has nothing left to claim until the sleeper returns.
+    pool.parallelFor(2, [](size_t i) {
+        if (i == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    });
+    EXPECT_GE(totalIdle() - before, 0.020);
+}
 
-    // Both tasks go to worker 0's deque. The first blocks its worker
-    // until the second has run — which is only possible if worker 1
-    // steals one of them.
-    std::promise<void> unblock;
-    std::shared_future<void> gate = unblock.get_future().share();
-    std::promise<void> secondRan;
-    pool.submitTo(0, [gate] { gate.wait(); });
-    pool.submitTo(0, [&secondRan] { secondRan.set_value(); });
-
-    secondRan.get_future().wait();
-    unblock.set_value();
-
-    // Drain so counters are final before we read them.
-    pool.parallelFor(1, [](size_t) {});
-    uint64_t stolen = 0;
-    for (const WorkerStats &ws : pool.stats())
-        stolen += ws.tasksStolen;
-    EXPECT_GE(stolen, 1u);
+TEST(ThreadPool, OneThreadRunsInlineOnTheCaller)
+{
+    ThreadPool pool(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    size_t onCaller = 0;
+    pool.parallelFor(10, [&](size_t) {
+        onCaller += std::this_thread::get_id() == caller ? 1 : 0;
+    });
+    EXPECT_EQ(onCaller, 10u);
+    EXPECT_EQ(pool.stats()[0].tasksRun, 10u);
 }
 
 TEST(ThreadPool, CountersAccountEveryTask)
@@ -139,7 +161,7 @@ TEST(ParallelEval, BitIdenticalAcrossThreadCounts)
 {
     const EvalOutcome serial = evalCartpole(1);
     ASSERT_EQ(serial.fitness.size(), 24u);
-    for (size_t threads : {2u, 4u, 8u}) {
+    for (size_t threads : {2u, 3u, 4u, 8u}) {
         const EvalOutcome parallel = evalCartpole(threads);
         EXPECT_EQ(serial.fitness, parallel.fitness)
             << threads << " threads";
@@ -156,7 +178,7 @@ TEST(ParallelEval, RngAuditIdenticalAcrossThreadCounts)
     // when fitness happens to agree.
     const EvalOutcome serial = evalCartpole(1);
     EXPECT_GT(serial.rngAudit.draws, 0u);
-    for (size_t threads : {2u, 4u, 8u}) {
+    for (size_t threads : {2u, 3u, 4u, 8u}) {
         const EvalOutcome parallel = evalCartpole(threads);
         EXPECT_EQ(serial.rngAudit, parallel.rngAudit)
             << threads << " threads";

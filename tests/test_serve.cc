@@ -14,16 +14,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <limits>
 #include <map>
+#include <thread>
 
 #include "common/fs.hh"
 #include "env/env_registry.hh"
@@ -721,8 +725,13 @@ class TestClient
 {
   public:
     explicit TestClient(uint16_t port)
+        : TestClient(::socket(AF_INET, SOCK_STREAM, 0), port)
     {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    }
+
+    /** Connect @p fd, a fresh TCP socket this client now owns. */
+    TestClient(int fd, uint16_t port) : fd_(fd)
+    {
         EXPECT_GE(fd_, 0);
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
@@ -858,4 +867,97 @@ TEST(ServeTcp, OversizedFrameHangsUp)
     EXPECT_FALSE(second.ok());
 
     server->stop();
+}
+
+namespace {
+
+/** A fresh TCP socket whose reads give up after 10 s. */
+int
+socketWithReadTimeout()
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const timeval within{10, 0};
+    if (fd >= 0)
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &within, sizeof within);
+    return fd;
+}
+
+/**
+ * Run in a child process: starve the accept thread of descriptors,
+ * then give them back. Exits 0 when a connection made while accept()
+ * was failing is answered once descriptors are free again.
+ *
+ * Nothing but the accept loop may run for the first time while
+ * starved: with no free descriptor, UBSan's vptr check (which probes
+ * memory through a pipe) misreports a type it has not seen yet.
+ */
+[[noreturn]] void
+acceptAcrossDescriptorExhaustion(const std::string &dir)
+{
+    auto server = serverFor({{dir, "cartpole"}});
+    if (!server || !server->listen(0).ok())
+        _exit(10);
+    InferRequest req;
+    req.fingerprint = server->champions()[0].fingerprint;
+    req.observation = observationFor("cartpole");
+    auto answered = [&req](TestClient &client) {
+        Result<InferResponse> resp = client.roundTrip(req);
+        return resp.ok() && resp->status == StatusCode::Ok;
+    };
+
+    // One answered request first: every server thread has started and
+    // every type a connection uses has been seen.
+    TestClient warm(server->port());
+    if (!answered(warm))
+        _exit(11);
+
+    // Cap the descriptor table at the lowest free descriptor: every
+    // slot below the cap is taken.
+    const int triggerFd = socketWithReadTimeout();
+    const int starvedFd = socketWithReadTimeout();
+    const int lowestFree = ::open("/dev/null", O_RDONLY);
+    if (triggerFd < 0 || starvedFd < 0 || lowestFree < 0)
+        _exit(12);
+    ::close(lowestFree);
+    rlimit original{};
+    ::getrlimit(RLIMIT_NOFILE, &original);
+    rlimit capped = original;
+    capped.rlim_cur = static_cast<rlim_t>(lowestFree);
+    if (::setrlimit(RLIMIT_NOFILE, &capped) != 0)
+        _exit(13);
+
+    // An accept() already blocked holds a descriptor reserved before
+    // the cap and may take this connection; the next one fails.
+    TestClient trigger(triggerFd, server->port());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server->counters().acceptErrors == 0) {
+        if (std::chrono::steady_clock::now() > deadline)
+            _exit(14);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    // Connect while accept() is failing, then lift the cap: both
+    // connections must be accepted and answered.
+    TestClient starved(starvedFd, server->port());
+    ::setrlimit(RLIMIT_NOFILE, &original);
+    if (!answered(starved))
+        _exit(15);
+    if (!answered(trigger))
+        _exit(16);
+    server->stop();
+    _exit(0);
+}
+
+} // namespace
+
+TEST(ServeTcpDeathTest, AcceptSurvivesDescriptorExhaustion)
+{
+    // A child process, so the descriptor cap cannot leak into other
+    // tests; re-executed rather than forked, as the server starts
+    // threads.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string dir = championDir("cartpole", "tcp_emfile", 37);
+    EXPECT_EXIT(acceptAcrossDescriptorExhaustion(dir),
+                ::testing::ExitedWithCode(0), "");
 }

@@ -243,17 +243,18 @@ TEST(Trace, DisabledPathAllocatesNothing)
 
 TEST(ThreadPoolAllocations, ParallelForChunkTasksStayInline)
 {
-    // A chunk task too large for std::function's inline buffer is one
-    // heap closure per chunk, freed on a worker thread. Only the
-    // amortized deque blocks may allocate here.
+    // A heap closure made on the caller and freed on another thread
+    // hands its memory to that thread's per-step vectors (DESIGN §7).
+    // Posting a loop shares the caller's body by reference, so no
+    // index or block allocates at all.
     TraceSandbox sandbox;
     constexpr size_t n = 1024;
     runtime::ThreadPool pool(4);
-    pool.parallelFor(4, [](size_t) {}); // workers up and registered
+    pool.parallelFor(4, [](size_t) {}); // helpers up and registered
     const long before = g_allocations.load(std::memory_order_relaxed);
     pool.parallelFor(n, [](size_t) {});
     const long after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_LT(after - before, static_cast<long>(n / 4));
+    EXPECT_EQ(after - before, 0);
 }
 
 TEST(Trace, SpanNestingIsContained)

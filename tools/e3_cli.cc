@@ -304,10 +304,9 @@ cmdRun(const Args &args)
     }
     if (!quiet && options.threads > 1) {
         const Counters &rt = result.runtimeCounters;
-        std::printf("runtime: %zu workers, %.0f tasks run "
-                    "(%.0f stolen), %.2f s worker idle\n",
+        std::printf("runtime: %zu threads, %.0f tasks run, "
+                    "%.2f s idle in parallelFor\n",
                     options.threads, rt.get("runtime.tasks_run"),
-                    rt.get("runtime.tasks_stolen"),
                     rt.get("runtime.idle_seconds"));
     }
 
